@@ -630,6 +630,8 @@ const PANIC_SCOPE: &[&str] = &[
     "crates/sim/src/orchestrator.rs",
     "crates/sim/src/lock.rs",
     "crates/sim/src/jobs.rs",
+    "crates/sim/src/json.rs",
+    "crates/sim/src/record.rs",
 ];
 
 impl Rule for PanicPath {

@@ -3,7 +3,7 @@
 //! end-to-end resource estimator. These measure the substrate's performance
 //! (the *figures* are regenerated by the `src/bin` targets).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use raa::decode::mc::Sampler;
 use raa::decode::{
     mc, CircuitSampler, DecodingGraph, MatchingDecoder, McConfig, UniformLayers, UnionFindDecoder,
@@ -13,7 +13,7 @@ use raa::shor::TransversalArchitecture;
 use raa::stabsim::{DemSampler, DetectorErrorModel, FrameSim, StreamingDemSampler, SyndromeBatch};
 use raa::surface::{Basis, MemoryExperiment, NoiseModel};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn memory_circuit(d: u32, p: f64) -> raa::stabsim::Circuit {
     MemoryExperiment {
@@ -89,19 +89,21 @@ fn bench_decoders(c: &mut Criterion) {
     let uf = UnionFindDecoder::new(graph.clone());
     let mwpm = MatchingDecoder::new(graph);
 
+    // Gate-level sampling on all cores, seeded as a fresh `StdRng(7)` draw.
+    let gate_sampler = CircuitSampler::new(&circuit);
+    let seed = StdRng::seed_from_u64(7).random();
     group.bench_function("unionfind_d5_1024shots", |b| {
-        b.iter_batched(
-            || StdRng::seed_from_u64(7),
-            |mut rng| mc::logical_error_rate(&circuit, &uf, 1024, &mut rng),
-            BatchSize::SmallInput,
-        );
+        b.iter(|| {
+            mc::logical_error_rate_sampled(&gate_sampler, &uf, 1024, seed, &McConfig::default())
+                .expect("the default McConfig uses the ambient pool")
+        });
     });
     // Same workload pinned to one worker thread: the parallel-scaling
     // reference point (the default above uses all cores).
     group.bench_function("unionfind_d5_1024shots_1thread", |b| {
         let cfg = McConfig::single_threaded();
         b.iter(|| {
-            mc::logical_error_rate_seeded(&circuit, &uf, 1024, 7, &cfg)
+            mc::logical_error_rate_sampled(&gate_sampler, &uf, 1024, 7, &cfg)
                 .expect("single-threaded runs use the ambient pool")
         });
     });
@@ -133,11 +135,10 @@ fn bench_decoders(c: &mut Criterion) {
         });
     }
     group.bench_function("matching_d5_256shots", |b| {
-        b.iter_batched(
-            || StdRng::seed_from_u64(7),
-            |mut rng| mc::logical_error_rate(&circuit, &mwpm, 256, &mut rng),
-            BatchSize::SmallInput,
-        );
+        b.iter(|| {
+            mc::logical_error_rate_sampled(&gate_sampler, &mwpm, 256, seed, &McConfig::default())
+                .expect("the default McConfig uses the ambient pool")
+        });
     });
     group.finish();
 }

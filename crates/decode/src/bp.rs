@@ -287,7 +287,7 @@ mod tests {
     use raa_stabsim::dem::DemError;
     use raa_stabsim::{Circuit, MeasRecord};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn chain_dem(n: usize, p: f64) -> DetectorErrorModel {
         let mut errors = vec![DemError {
@@ -403,9 +403,13 @@ mod tests {
         let bp_uf = BpUnionFindDecoder::new(&dem);
         let (graph, _) = DecodingGraph::from_dem_decomposed(&dem);
         let uf = UnionFindDecoder::new(graph);
-        let r_bp = mc::logical_error_rate(&c, &bp_uf, 8_000, &mut StdRng::seed_from_u64(9))
+        let (sampler, cfg) = (mc::CircuitSampler::new(&c), mc::McConfig::default());
+        let seed = StdRng::seed_from_u64(9).random();
+        let r_bp = mc::logical_error_rate_sampled(&sampler, &bp_uf, 8_000, seed, &cfg)
+            .unwrap()
             .logical_error_rate();
-        let r_uf = mc::logical_error_rate(&c, &uf, 8_000, &mut StdRng::seed_from_u64(9))
+        let r_uf = mc::logical_error_rate_sampled(&sampler, &uf, 8_000, seed, &cfg)
+            .unwrap()
             .logical_error_rate();
         assert!(
             r_bp <= r_uf * 1.3 + 0.01,

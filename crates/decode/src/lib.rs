@@ -15,11 +15,13 @@
 //!   with commit/buffer syndrome projection and an incremental streaming
 //!   session;
 //! * [`mc`] — the sample → decode → compare Monte-Carlo harness, sharded
-//!   across threads with deterministic per-batch seeding; sampling goes
-//!   through the [`mc::Sampler`] trait (gate-level [`mc::CircuitSampler`]
-//!   or the compiled-DEM fast path of [`raa_stabsim::DemSampler`]), and
-//!   deep circuits stream one time layer at a time through
-//!   [`mc::logical_error_rate_streamed`] with O(window) resident memory.
+//!   across threads with deterministic per-batch seeding. It has two
+//!   estimators, both spending a [`mc::ShotBudget`]:
+//!   [`mc::logical_error_rate_sampled`] samples through the [`mc::Sampler`]
+//!   trait (gate-level [`mc::CircuitSampler`] or the compiled-DEM fast
+//!   path of [`raa_stabsim::DemSampler`]), and deep circuits stream one
+//!   time layer at a time through [`mc::logical_error_rate_streamed`] with
+//!   O(window) resident memory.
 //!
 //! Correlated decoding across transversal gates (paper §II.4) needs no
 //! special machinery here: the decoding graph is built from the DEM of the
@@ -84,9 +86,7 @@
 //!
 //! ```
 //! use raa_stabsim::{Circuit, MeasRecord, DetectorErrorModel};
-//! use raa_decode::{graph::DecodingGraph, unionfind::UnionFindDecoder, Decoder, mc};
-//! use rand::rngs::StdRng;
-//! use rand::SeedableRng;
+//! use raa_decode::{graph::DecodingGraph, unionfind::UnionFindDecoder, mc, McConfig};
 //!
 //! let mut c = Circuit::new();
 //! c.r(&[0, 1, 2, 3, 4]);
@@ -100,7 +100,9 @@
 //!
 //! let dem = DetectorErrorModel::from_circuit(&c);
 //! let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem)?);
-//! let stats = mc::logical_error_rate(&c, &decoder, 10_000, &mut StdRng::seed_from_u64(7));
+//! let sampler = mc::CircuitSampler::new(&c);
+//! let stats = mc::logical_error_rate_sampled(&sampler, &decoder, 10_000, 7, &McConfig::default())
+//!     .expect("the default McConfig uses the ambient pool");
 //! assert!(stats.logical_error_rate() < 0.02);
 //! # Ok::<(), raa_decode::graph::GraphError>(())
 //! ```

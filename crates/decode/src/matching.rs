@@ -993,8 +993,9 @@ mod tests {
             let on = MatchingDecoder::new(g.clone());
             assert!(on.precomputed.is_some());
             let off = MatchingDecoder::new(g).with_precompute(false);
-            let s_on = mc::logical_error_rate_seeded(&c, &on, 2_000, 11, &cfg).unwrap();
-            let s_off = mc::logical_error_rate_seeded(&c, &off, 2_000, 11, &cfg).unwrap();
+            let sampler = mc::CircuitSampler::new(&c);
+            let s_on = mc::logical_error_rate_sampled(&sampler, &on, 2_000, 11, &cfg).unwrap();
+            let s_off = mc::logical_error_rate_sampled(&sampler, &off, 2_000, 11, &cfg).unwrap();
             assert_eq!(s_on.shots, 2_000);
             assert_eq!(
                 s_on.failures, s_off.failures,

@@ -1,5 +1,11 @@
 //! Monte-Carlo logical-error-rate estimation: sample, decode, compare.
 //!
+//! There are exactly two estimators: [`logical_error_rate_sampled`] drives
+//! any whole-batch [`Sampler`] and [`logical_error_rate_streamed`] drives
+//! the time-sliced streaming pipeline. Both take a [`ShotBudget`] (a plain
+//! shot count converts to [`ShotBudget::Fixed`]) and run on one batch
+//! loop.
+//!
 //! The estimators shard work into fixed-size batches of shots. Each batch
 //! gets an independent RNG stream derived deterministically from the base
 //! seed and the batch index, batches are decoded in parallel with one
@@ -187,6 +193,11 @@ impl Sampler for DemSampler {
 /// identical per-layer streams, so the two produce bit-identical
 /// [`DecodeStats`] while this path spends O(circuit) memory and the
 /// streamed path O(window).
+///
+/// It keeps the default (no) [`Sampler::fusion_block`]: each `sample_into`
+/// call draws **one** base seed for the whole batch, so splitting a batch
+/// into chunks would draw different per-layer streams and break the
+/// bit-identity with [`logical_error_rate_streamed`].
 impl Sampler for StreamingDemSampler {
     type Scratch = StreamingScratch;
 
@@ -206,14 +217,6 @@ impl Sampler for StreamingDemSampler {
             syndromes,
             obs_masks,
         );
-    }
-
-    /// Fusion must stay off: each `sample_into` call draws **one** base
-    /// seed for the whole batch, so splitting a batch into chunks would
-    /// draw different per-layer streams and break the bit-identity with
-    /// [`logical_error_rate_streamed`].
-    fn fusion_block(&self) -> Option<usize> {
-        None
     }
 }
 
@@ -264,6 +267,32 @@ pub enum SeedPolicy {
     /// seed, exactly like the historical single-threaded loop. Forces
     /// serial execution.
     Sequential,
+}
+
+/// How many shots an estimate spends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShotBudget {
+    /// Decode exactly this many shots.
+    Fixed(usize),
+    /// Decode until `target_failures` failures, capped at `max_shots`.
+    ///
+    /// Early stopping is deterministic: the result always covers exactly
+    /// the batch prefix `0..=B`, where `B` is the first batch at which the
+    /// cumulative failure count reaches the target (or all batches if it
+    /// never does), so it is independent of thread count and timing. At
+    /// least one batch is always decoded.
+    UntilFailures {
+        /// Hard cap on shots.
+        max_shots: usize,
+        /// Failure count that stops the run.
+        target_failures: usize,
+    },
+}
+
+impl From<usize> for ShotBudget {
+    fn from(shots: usize) -> Self {
+        ShotBudget::Fixed(shots)
+    }
 }
 
 /// Configuration for the Monte-Carlo estimators.
@@ -326,11 +355,6 @@ pub fn mix_seed(seed: u64, stream: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
-}
-
-/// The independent RNG stream seed of batch `batch_index`.
-fn batch_seed(seed: u64, batch_index: usize) -> u64 {
-    mix_seed(seed, batch_index as u64)
 }
 
 /// Per-worker pipeline state: sampler scratch, decoder scratch and the
@@ -430,15 +454,15 @@ where
 }
 
 /// Estimates the logical error rate of the circuit behind `sampler` under
-/// `decoder` from `shots` Monte-Carlo samples, with explicit seed and
-/// configuration.
+/// `decoder`, spending `budget` Monte-Carlo shots (a plain shot count, or a
+/// [`ShotBudget::UntilFailures`] early stop).
 ///
 /// This is the sampler-generic core of the pipeline: pass a
 /// [`CircuitSampler`] for gate-level re-simulation or a [`DemSampler`]
 /// (compiled from the circuit's DEM) for the fast precompiled path. Work
 /// is sharded into batches decoded in parallel; for a given seed and
 /// sampler the result is identical for any `cfg.threads` (see
-/// [`SeedPolicy`]).
+/// [`SeedPolicy`]). The [crate-level example](crate) runs it gate-level.
 ///
 /// # Errors
 ///
@@ -447,105 +471,12 @@ where
 pub fn logical_error_rate_sampled<S: Sampler, D: Decoder + Sync>(
     sampler: &S,
     decoder: &D,
-    shots: usize,
+    budget: impl Into<ShotBudget>,
     seed: u64,
     cfg: &McConfig,
 ) -> Result<DecodeStats, McError> {
-    run_batches(shots, seed, cfg, Worker::<S, D>::new, |worker, len, rng| {
-        worker.decode_batch(sampler, decoder, len, rng)
-    })
-}
-
-/// Sampler-agnostic batch orchestration: shards `shots` into `cfg.batch`
-/// batches, runs `decode_batch(worker, batch_len, batch_rng)` per batch
-/// (one reusable worker per thread via `new_worker`) and merges the
-/// per-batch statistics in batch order — the single implementation of the
-/// bit-identical-across-thread-counts contract shared by the whole-batch
-/// and streaming pipelines.
-fn run_batches<W: Send>(
-    shots: usize,
-    seed: u64,
-    cfg: &McConfig,
-    new_worker: impl Fn() -> W + Send + Sync,
-    decode_batch: impl Fn(&mut W, usize, &mut StdRng) -> DecodeStats + Send + Sync,
-) -> Result<DecodeStats, McError> {
-    assert!(cfg.batch > 0, "batch size must be positive");
-    if shots == 0 {
-        return Ok(DecodeStats::default());
-    }
-    let num_batches = shots.div_ceil(cfg.batch);
-
-    if matches!(cfg.seed_policy, SeedPolicy::Sequential) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut worker = new_worker();
-        let mut stats = DecodeStats::default();
-        for b in 0..num_batches {
-            let len = batch_len(shots, cfg.batch, b);
-            stats.merge(decode_batch(&mut worker, len, &mut rng));
-        }
-        return Ok(stats);
-    }
-
-    let per_batch: Vec<DecodeStats> = run_on_pool(cfg.threads, || {
-        (0..num_batches)
-            .into_par_iter()
-            .map_init(&new_worker, |worker, b| {
-                let mut rng = StdRng::seed_from_u64(batch_seed(seed, b));
-                decode_batch(worker, batch_len(shots, cfg.batch, b), &mut rng)
-            })
-            .collect()
-    })?;
-    let mut stats = DecodeStats::default();
-    for s in per_batch {
-        stats.merge(s);
-    }
-    Ok(stats)
-}
-
-/// [`logical_error_rate_sampled`] with a [`CircuitSampler`] over `circuit`
-/// (the historical gate-level entry point).
-///
-/// # Errors
-///
-/// Returns [`McError::PoolBuild`] if `cfg.threads > 0` and the worker pool
-/// cannot be built.
-pub fn logical_error_rate_seeded<D: Decoder + Sync>(
-    circuit: &Circuit,
-    decoder: &D,
-    shots: usize,
-    seed: u64,
-    cfg: &McConfig,
-) -> Result<DecodeStats, McError> {
-    logical_error_rate_sampled(&CircuitSampler::new(circuit), decoder, shots, seed, cfg)
-}
-
-/// Like [`logical_error_rate_sampled`], but stops early once
-/// `target_failures` failures have been seen (useful deep below threshold
-/// where failures are rare); always decodes at least one batch.
-///
-/// Early stopping is deterministic: the result always covers exactly the
-/// batch prefix `0..=B`, where `B` is the first batch at which the
-/// cumulative failure count reaches the target (or all batches if it never
-/// does). Worker threads poll a relaxed atomic failure counter so they stop
-/// *launching* batches soon after the target is reached; any speculative
-/// batches beyond `B` are discarded, keeping the result independent of
-/// thread count and timing.
-///
-/// # Errors
-///
-/// Returns [`McError::PoolBuild`] if `cfg.threads > 0` and the worker pool
-/// cannot be built.
-pub fn logical_error_rate_until_sampled<S: Sampler, D: Decoder + Sync>(
-    sampler: &S,
-    decoder: &D,
-    max_shots: usize,
-    target_failures: usize,
-    seed: u64,
-    cfg: &McConfig,
-) -> Result<DecodeStats, McError> {
-    run_batches_until(
-        max_shots,
-        target_failures,
+    run_batches(
+        budget.into(),
         seed,
         cfg,
         Worker::<S, D>::new,
@@ -553,19 +484,32 @@ pub fn logical_error_rate_until_sampled<S: Sampler, D: Decoder + Sync>(
     )
 }
 
-/// The early-stopping counterpart of [`run_batches`]: decodes the
-/// deterministic batch prefix `0..=B`, where `B` is the first batch at
-/// which the cumulative failure count reaches `target_failures` (see
-/// [`logical_error_rate_until_sampled`] for the contract).
-fn run_batches_until<W: Send>(
-    max_shots: usize,
-    target_failures: usize,
+/// The batch loop behind both estimators: shards the budget's shots into
+/// `cfg.batch` batches, runs `decode_batch(worker, batch_len, batch_rng)`
+/// per batch (one reusable worker per thread via `new_worker`) and merges
+/// the per-batch statistics in batch order — the single implementation of
+/// the bit-identical-across-thread-counts contract.
+///
+/// A [`ShotBudget::Fixed`] budget is a run with no failure target. Under
+/// [`ShotBudget::UntilFailures`], worker threads poll a relaxed atomic
+/// failure counter so they stop *launching* batches soon after the target
+/// is reached; any speculative batches beyond the deterministic prefix are
+/// discarded.
+fn run_batches<W: Send>(
+    budget: ShotBudget,
     seed: u64,
     cfg: &McConfig,
     new_worker: impl Fn() -> W + Send + Sync,
     decode_batch: impl Fn(&mut W, usize, &mut StdRng) -> DecodeStats + Send + Sync,
 ) -> Result<DecodeStats, McError> {
     assert!(cfg.batch > 0, "batch size must be positive");
+    let (max_shots, target_failures) = match budget {
+        ShotBudget::Fixed(shots) => (shots, usize::MAX),
+        ShotBudget::UntilFailures {
+            max_shots,
+            target_failures,
+        } => (max_shots, target_failures),
+    };
     if max_shots == 0 {
         return Ok(DecodeStats::default());
     }
@@ -607,7 +551,8 @@ fn run_batches_until<W: Send>(
                     if b != start && round_failures.load(Ordering::Relaxed) >= needed {
                         return None;
                     }
-                    let mut rng = StdRng::seed_from_u64(batch_seed(seed, b));
+                    // Batch `b` samples from its own independent stream.
+                    let mut rng = StdRng::seed_from_u64(mix_seed(seed, b as u64));
                     let batch_stats =
                         decode_batch(worker, batch_len(max_shots, cfg.batch, b), &mut rng);
                     round_failures.fetch_add(batch_stats.failures, Ordering::Relaxed);
@@ -630,36 +575,12 @@ fn run_batches_until<W: Send>(
     Ok(stats)
 }
 
-/// [`logical_error_rate_until_sampled`] with a [`CircuitSampler`] over
-/// `circuit` (the historical gate-level entry point).
-///
-/// # Errors
-///
-/// Returns [`McError::PoolBuild`] if `cfg.threads > 0` and the worker pool
-/// cannot be built.
-pub fn logical_error_rate_until_seeded<D: Decoder + Sync>(
-    circuit: &Circuit,
-    decoder: &D,
-    max_shots: usize,
-    target_failures: usize,
-    seed: u64,
-    cfg: &McConfig,
-) -> Result<DecodeStats, McError> {
-    logical_error_rate_until_sampled(
-        &CircuitSampler::new(circuit),
-        decoder,
-        max_shots,
-        target_failures,
-        seed,
-        cfg,
-    )
-}
-
 /// Per-worker state of the **streaming** pipeline: the sampler's rolling
 /// window, a [`LayerRing`] of the open window's finalized bitplanes, one
 /// [`WindowState`] per in-flight shot, and the shared windowed decode
 /// scratch — everything reused batch to batch. Peak resident syndrome
 /// memory is `batch × window` bits, independent of circuit depth.
+#[derive(Default)]
 struct StreamWorker {
     scratch: StreamingScratch,
     ring: LayerRing,
@@ -671,18 +592,6 @@ struct StreamWorker {
 }
 
 impl StreamWorker {
-    fn new() -> Self {
-        Self {
-            scratch: StreamingScratch::default(),
-            ring: LayerRing::default(),
-            states: Vec::new(),
-            win: WindowScratch::default(),
-            obs_masks: Vec::new(),
-            defects: Vec::new(),
-            layer_defects: Vec::new(),
-        }
-    }
-
     /// Samples and decodes one batch of shots **window-major**: each layer
     /// is sampled once into the [`LayerRing`], and as soon as a window's
     /// look-ahead is complete the *whole shot block* steps through that
@@ -811,11 +720,13 @@ fn check_stream_compat<L: LayerAssignment>(
     }
 }
 
-/// Estimates the logical error rate through the **streaming** pipeline:
-/// shots are sampled one time layer at a time from the time-sliced
-/// `sampler` and fed straight into per-shot [`WindowedDecoder`] sessions,
-/// so resident syndrome memory is O(batch × window) — independent of
-/// circuit depth — instead of the whole-batch path's O(batch × circuit).
+/// Estimates the logical error rate through the **streaming** pipeline,
+/// spending `budget` shots under the same contract as
+/// [`logical_error_rate_sampled`]: shots are sampled one time layer at a
+/// time from the time-sliced `sampler` and fed straight into per-shot
+/// [`WindowedDecoder`] states, so resident syndrome memory is
+/// O(batch × window) — independent of circuit depth — instead of the
+/// whole-batch path's O(batch × circuit).
 ///
 /// For a given seed the result is bit-identical across thread counts
 /// **and** bit-identical to the whole-batch reference entry point
@@ -859,105 +770,18 @@ fn check_stream_compat<L: LayerAssignment>(
 pub fn logical_error_rate_streamed<L: LayerAssignment + Sync>(
     sampler: &StreamingDemSampler,
     decoder: &WindowedDecoder<L>,
-    shots: usize,
+    budget: impl Into<ShotBudget>,
     seed: u64,
     cfg: &McConfig,
 ) -> Result<DecodeStats, McError> {
     check_stream_compat(sampler, decoder);
-    run_batches(shots, seed, cfg, StreamWorker::new, |worker, len, rng| {
-        worker.decode_batch(sampler, decoder, len, rng)
-    })
-}
-
-/// Like [`logical_error_rate_streamed`], but stops early once
-/// `target_failures` failures have been seen — the same deterministic
-/// batch-prefix contract as [`logical_error_rate_until_sampled`].
-///
-/// # Errors
-///
-/// Returns [`McError::PoolBuild`] if `cfg.threads > 0` and the worker pool
-/// cannot be built.
-pub fn logical_error_rate_until_streamed<L: LayerAssignment + Sync>(
-    sampler: &StreamingDemSampler,
-    decoder: &WindowedDecoder<L>,
-    max_shots: usize,
-    target_failures: usize,
-    seed: u64,
-    cfg: &McConfig,
-) -> Result<DecodeStats, McError> {
-    check_stream_compat(sampler, decoder);
-    run_batches_until(
-        max_shots,
-        target_failures,
+    run_batches(
+        budget.into(),
         seed,
         cfg,
-        StreamWorker::new,
+        StreamWorker::default,
         |worker, len, rng| worker.decode_batch(sampler, decoder, len, rng),
     )
-}
-
-/// Estimates the logical error rate of `circuit` under `decoder`.
-///
-/// Thin wrapper over [`logical_error_rate_seeded`]: draws a base seed from
-/// `rng` and runs with the default [`McConfig`] (parallel, 256-shot
-/// batches). For explicit thread/batch control use the seeded variant.
-///
-/// # Example
-///
-/// ```
-/// use raa_stabsim::{Circuit, MeasRecord, DetectorErrorModel};
-/// use raa_decode::{graph::DecodingGraph, unionfind::UnionFindDecoder, mc};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mut c = Circuit::new();
-/// c.r(&[0, 1, 2, 3, 4]);
-/// c.x_error(&[0, 2, 4], 0.05);
-/// c.cx(&[(0, 1), (2, 1), (2, 3), (4, 3)]);
-/// c.mr(&[1, 3]);
-/// c.detector(&[MeasRecord::back(2)]);
-/// c.detector(&[MeasRecord::back(1)]);
-/// c.m(&[0, 2, 4]);
-/// c.observable_include(0, &[MeasRecord::back(3)]);
-///
-/// let dem = DetectorErrorModel::from_circuit(&c);
-/// let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem).unwrap());
-/// let mut rng = StdRng::seed_from_u64(2);
-/// let stats = mc::logical_error_rate(&c, &decoder, 20_000, &mut rng);
-/// // Distance-3 repetition code at p = 0.05: roughly 3 p^2 ≈ 0.007.
-/// assert!(stats.logical_error_rate() < 0.03);
-/// ```
-pub fn logical_error_rate<D: Decoder + Sync, R: Rng>(
-    circuit: &Circuit,
-    decoder: &D,
-    shots: usize,
-    rng: &mut R,
-) -> DecodeStats {
-    let seed = rng.random::<u64>();
-    logical_error_rate_seeded(circuit, decoder, shots, seed, &McConfig::default())
-        .expect("the default McConfig uses the ambient pool and cannot fail")
-}
-
-/// Like [`logical_error_rate`], but stops early once `target_failures`
-/// failures have been seen. Thin wrapper over
-/// [`logical_error_rate_until_seeded`] with the default [`McConfig`].
-pub fn logical_error_rate_until<D: Decoder + Sync, R: Rng>(
-    circuit: &Circuit,
-    decoder: &D,
-    max_shots: usize,
-    target_failures: usize,
-    rng: &mut R,
-) -> DecodeStats {
-    let seed = rng.random::<u64>();
-    logical_error_rate_until_seeded(
-        circuit,
-        decoder,
-        max_shots,
-        target_failures,
-        seed,
-        &McConfig::default(),
-    )
-    .expect("the default McConfig uses the ambient pool and cannot fail")
 }
 
 #[cfg(test)]
@@ -1014,10 +838,27 @@ mod tests {
         MatchingDecoder::new(DecodingGraph::from_dem(&dem).unwrap())
     }
 
+    /// A gate-level estimate through [`CircuitSampler`].
+    fn gate<D: Decoder + Sync>(
+        c: &Circuit,
+        d: &D,
+        budget: impl Into<ShotBudget>,
+        seed: u64,
+        cfg: &McConfig,
+    ) -> DecodeStats {
+        logical_error_rate_sampled(&CircuitSampler::new(c), d, budget, seed, cfg).unwrap()
+    }
+
     #[test]
     fn noiseless_circuit_never_fails() {
         let c = repetition(3, 2, 0.0);
-        let stats = logical_error_rate(&c, &uf(&c), 500, &mut StdRng::seed_from_u64(1));
+        let stats = gate(
+            &c,
+            &uf(&c),
+            500,
+            StdRng::seed_from_u64(1).random(),
+            &McConfig::default(),
+        );
         assert_eq!(stats.failures, 0);
         assert_eq!(stats.shots, 500);
     }
@@ -1026,7 +867,13 @@ mod tests {
     fn decoding_beats_raw_error_rate() {
         let p = 0.05;
         let c = repetition(3, 3, p);
-        let stats = logical_error_rate(&c, &uf(&c), 20_000, &mut StdRng::seed_from_u64(2));
+        let stats = gate(
+            &c,
+            &uf(&c),
+            20_000,
+            StdRng::seed_from_u64(2).random(),
+            &McConfig::default(),
+        );
         // Raw single-qubit flip probability over 3 rounds ~ 3p/... just check
         // we're well below p itself.
         assert!(
@@ -1042,8 +889,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let c3 = repetition(3, 3, p);
         let c7 = repetition(7, 3, p);
-        let r3 = logical_error_rate(&c3, &uf(&c3), 30_000, &mut rng).logical_error_rate();
-        let r7 = logical_error_rate(&c7, &uf(&c7), 30_000, &mut rng).logical_error_rate();
+        let r3 =
+            gate(&c3, &uf(&c3), 30_000, rng.random(), &McConfig::default()).logical_error_rate();
+        let r7 =
+            gate(&c7, &uf(&c7), 30_000, rng.random(), &McConfig::default()).logical_error_rate();
         assert!(r7 < r3, "d=3: {r3}, d=7: {r7}");
     }
 
@@ -1051,10 +900,9 @@ mod tests {
     fn matching_at_least_as_good_as_unionfind() {
         let p = 0.08;
         let c = repetition(5, 4, p);
-        let mut rng = StdRng::seed_from_u64(4);
-        let r_uf = logical_error_rate(&c, &uf(&c), 20_000, &mut rng).logical_error_rate();
-        let mut rng = StdRng::seed_from_u64(4);
-        let r_m = logical_error_rate(&c, &mwpm(&c), 20_000, &mut rng).logical_error_rate();
+        let seed = StdRng::seed_from_u64(4).random();
+        let r_uf = gate(&c, &uf(&c), 20_000, seed, &McConfig::default()).logical_error_rate();
+        let r_m = gate(&c, &mwpm(&c), 20_000, seed, &McConfig::default()).logical_error_rate();
         // Exact matching should not be substantially worse.
         assert!(r_m <= r_uf * 1.25 + 0.01, "uf = {r_uf}, mwpm = {r_m}");
     }
@@ -1062,8 +910,17 @@ mod tests {
     #[test]
     fn early_stop_honours_failure_target() {
         let c = repetition(3, 2, 0.2);
-        let stats =
-            logical_error_rate_until(&c, &uf(&c), 1_000_000, 10, &mut StdRng::seed_from_u64(5));
+        let budget = ShotBudget::UntilFailures {
+            max_shots: 1_000_000,
+            target_failures: 10,
+        };
+        let stats = gate(
+            &c,
+            &uf(&c),
+            budget,
+            StdRng::seed_from_u64(5).random(),
+            &McConfig::default(),
+        );
         assert!(stats.failures >= 10);
         assert!(stats.shots < 1_000_000);
     }
@@ -1075,18 +932,15 @@ mod tests {
         let c = repetition(5, 4, 0.05);
         let d = uf(&c);
         let seed = 0xC0FFEE;
-        let base =
-            logical_error_rate_seeded(&c, &d, 10_000, seed, &McConfig::default().with_threads(1))
-                .unwrap();
+        let base = gate(&c, &d, 10_000, seed, &McConfig::default().with_threads(1));
         for threads in [2usize, 4, 8] {
-            let multi = logical_error_rate_seeded(
+            let multi = gate(
                 &c,
                 &d,
                 10_000,
                 seed,
                 &McConfig::default().with_threads(threads),
-            )
-            .unwrap();
+            );
             assert_eq!(base, multi, "threads = {threads}");
         }
         assert_eq!(base.shots, 10_000);
@@ -1098,25 +952,19 @@ mod tests {
         let c = repetition(3, 3, 0.15);
         let d = uf(&c);
         let seed = 0xBADC0DE;
-        let base = logical_error_rate_until_seeded(
-            &c,
-            &d,
-            200_000,
-            25,
-            seed,
-            &McConfig::default().with_threads(1),
-        )
-        .unwrap();
+        let budget = ShotBudget::UntilFailures {
+            max_shots: 200_000,
+            target_failures: 25,
+        };
+        let base = gate(&c, &d, budget, seed, &McConfig::default().with_threads(1));
         for threads in [3usize, 7] {
-            let multi = logical_error_rate_until_seeded(
+            let multi = gate(
                 &c,
                 &d,
-                200_000,
-                25,
+                budget,
                 seed,
                 &McConfig::default().with_threads(threads),
-            )
-            .unwrap();
+            );
             assert_eq!(base, multi, "threads = {threads}");
         }
         assert!(base.failures >= 25);
@@ -1128,7 +976,11 @@ mod tests {
         let c = repetition(3, 2, 0.1);
         let d = uf(&c);
         let cfg = McConfig::default().with_threads(4);
-        let stats = logical_error_rate_until_seeded(&c, &d, 100_000, 0, 1, &cfg).unwrap();
+        let budget = ShotBudget::UntilFailures {
+            max_shots: 100_000,
+            target_failures: 0,
+        };
+        let stats = gate(&c, &d, budget, 1, &cfg);
         assert_eq!(stats.shots, cfg.batch);
     }
 
@@ -1137,14 +989,7 @@ mod tests {
         let c = repetition(3, 2, 0.1);
         let d = uf(&c);
         for batch in [1usize, 7, 64, 1000] {
-            let stats = logical_error_rate_seeded(
-                &c,
-                &d,
-                1_000,
-                42,
-                &McConfig::default().with_batch(batch),
-            )
-            .unwrap();
+            let stats = gate(&c, &d, 1_000, 42, &McConfig::default().with_batch(batch));
             assert_eq!(stats.shots, 1_000, "batch = {batch}");
         }
     }
@@ -1165,8 +1010,8 @@ mod tests {
             threads: 8,
             ..McConfig::default()
         };
-        let a = logical_error_rate_seeded(&c, &d, 5_000, 7, &cfg_a).unwrap();
-        let b = logical_error_rate_seeded(&c, &d, 5_000, 7, &cfg_b).unwrap();
+        let a = gate(&c, &d, 5_000, 7, &cfg_a);
+        let b = gate(&c, &d, 5_000, 7, &cfg_b);
         assert_eq!(a, b);
     }
 
@@ -1230,15 +1075,12 @@ mod tests {
         let c = repetition(3, 2, 0.2);
         let dem = DetectorErrorModel::from_circuit(&c);
         let sampler = raa_stabsim::DemSampler::new(&dem);
-        let stats = logical_error_rate_until_sampled(
-            &sampler,
-            &uf(&c),
-            1_000_000,
-            10,
-            5,
-            &McConfig::default(),
-        )
-        .unwrap();
+        let budget = ShotBudget::UntilFailures {
+            max_shots: 1_000_000,
+            target_failures: 10,
+        };
+        let stats =
+            logical_error_rate_sampled(&sampler, &uf(&c), budget, 5, &McConfig::default()).unwrap();
         assert!(stats.failures >= 10);
         assert!(stats.shots < 1_000_000);
     }
@@ -1319,10 +1161,12 @@ mod tests {
         let sampler = StreamingDemSampler::new(&dem, 2);
         let decoder = windowed(&c, 2, 2, 2);
         let cfg = McConfig::default();
-        let batch_stats =
-            logical_error_rate_until_sampled(&sampler, &decoder, 500_000, 20, 3, &cfg).unwrap();
-        let streamed =
-            logical_error_rate_until_streamed(&sampler, &decoder, 500_000, 20, 3, &cfg).unwrap();
+        let budget = ShotBudget::UntilFailures {
+            max_shots: 500_000,
+            target_failures: 20,
+        };
+        let batch_stats = logical_error_rate_sampled(&sampler, &decoder, budget, 3, &cfg).unwrap();
+        let streamed = logical_error_rate_streamed(&sampler, &decoder, budget, 3, &cfg).unwrap();
         assert_eq!(batch_stats, streamed);
         assert!(streamed.failures >= 20);
         assert!(streamed.shots < 500_000);
@@ -1338,6 +1182,46 @@ mod tests {
         let c2 = repetition(3, 10, 0.1);
         let decoder = windowed(&c2, 2, 2, 2);
         logical_error_rate_streamed(&sampler, &decoder, 100, 1, &McConfig::default()).unwrap();
+    }
+
+    #[test]
+    fn fixed_budget_is_until_failures_without_a_target() {
+        // `Fixed(n)` is the batch loop with no failure target, so it must
+        // match an unreachable target bit for bit — for both estimators, at
+        // any thread count and under the sequential seed policy.
+        let c = repetition(3, 12, 0.08);
+        let dem = DetectorErrorModel::from_circuit(&c);
+        let dem_sampler = raa_stabsim::DemSampler::new(&dem);
+        let stream_sampler = StreamingDemSampler::new(&dem, 2);
+        let decoder = windowed(&c, 2, 2, 2);
+        let shots = 3_000;
+        let until = ShotBudget::UntilFailures {
+            max_shots: shots,
+            target_failures: usize::MAX,
+        };
+        let sequential = McConfig {
+            seed_policy: SeedPolicy::Sequential,
+            ..McConfig::default()
+        };
+        let cfgs = [1usize, 2, 8]
+            .map(|t| McConfig::default().with_batch(200).with_threads(t))
+            .into_iter()
+            .chain([sequential]);
+        for cfg in cfgs {
+            let sampled = |budget: ShotBudget| {
+                logical_error_rate_sampled(&dem_sampler, &decoder, budget, 17, &cfg).unwrap()
+            };
+            let streamed = |budget: ShotBudget| {
+                logical_error_rate_streamed(&stream_sampler, &decoder, budget, 17, &cfg).unwrap()
+            };
+            let fixed = sampled(ShotBudget::Fixed(shots));
+            assert_eq!(fixed, sampled(until), "{cfg:?}");
+            assert_eq!(fixed.shots, shots);
+            assert!(fixed.failures > 0, "p = 8% must fail sometimes");
+            let fixed = streamed(ShotBudget::Fixed(shots));
+            assert_eq!(fixed, streamed(until), "{cfg:?}");
+            assert_eq!(fixed.shots, shots);
+        }
     }
 
     /// The same compiled sampler with fusion declined: forces the

@@ -1058,7 +1058,7 @@ mod tests {
     use crate::mc;
     use raa_stabsim::{Circuit, DetectorErrorModel, MeasRecord};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// d-bit repetition code memory over `rounds` rounds; detectors come out
     /// in per-round blocks of (d-1), so UniformLayers applies.
@@ -1144,9 +1144,13 @@ mod tests {
         let (graph, _) = DecodingGraph::from_dem_decomposed(&dem);
         let global = UnionFindDecoder::new(graph);
         let windowed = build(&c, 3, 3, 4);
-        let r_g = mc::logical_error_rate(&c, &global, 12_000, &mut StdRng::seed_from_u64(1))
+        let (sampler, cfg) = (mc::CircuitSampler::new(&c), mc::McConfig::default());
+        let seed = StdRng::seed_from_u64(1).random();
+        let r_g = mc::logical_error_rate_sampled(&sampler, &global, 12_000, seed, &cfg)
+            .unwrap()
             .logical_error_rate();
-        let r_w = mc::logical_error_rate(&c, &windowed, 12_000, &mut StdRng::seed_from_u64(1))
+        let r_w = mc::logical_error_rate_sampled(&sampler, &windowed, 12_000, seed, &cfg)
+            .unwrap()
             .logical_error_rate();
         assert!(
             r_w <= r_g * 2.0 + 0.01,
@@ -1161,9 +1165,13 @@ mod tests {
         let c = repetition(5, 12, p);
         let narrow = build(&c, 2, 1, 4);
         let wide = build(&c, 2, 5, 4);
-        let r_narrow = mc::logical_error_rate(&c, &narrow, 10_000, &mut StdRng::seed_from_u64(2))
+        let (sampler, cfg) = (mc::CircuitSampler::new(&c), mc::McConfig::default());
+        let seed = StdRng::seed_from_u64(2).random();
+        let r_narrow = mc::logical_error_rate_sampled(&sampler, &narrow, 10_000, seed, &cfg)
+            .unwrap()
             .logical_error_rate();
-        let r_wide = mc::logical_error_rate(&c, &wide, 10_000, &mut StdRng::seed_from_u64(2))
+        let r_wide = mc::logical_error_rate_sampled(&sampler, &wide, 10_000, seed, &cfg)
+            .unwrap()
             .logical_error_rate();
         assert!(
             r_wide <= r_narrow * 1.25 + 0.01,

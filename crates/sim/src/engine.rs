@@ -8,8 +8,8 @@
 //! is bit-identical for any thread count or batch size.
 
 use crate::record::ExperimentRecord;
-use crate::spec::{DecoderChoice, ExperimentSpec, SamplerChoice, Scenario, ShotBudget, SweepGrid};
-use raa_decode::mc::{self, CircuitSampler, DecodeStats, McError, Sampler};
+use crate::spec::{DecoderChoice, ExperimentSpec, SamplerChoice, Scenario, SweepGrid};
+use raa_decode::mc::{self, CircuitSampler, DecodeStats, McError};
 use raa_decode::{
     BpUnionFindDecoder, Decoder, DecodingGraph, MatchingDecoder, UniformLayers, UnionFindDecoder,
     WindowedDecoder,
@@ -153,30 +153,6 @@ fn deep_cnot_experiment(spec: &ExperimentSpec) -> TransversalCnotExperiment {
     }
 }
 
-fn spend_budget<S: Sampler, D: Decoder + Sync>(
-    sampler: &S,
-    decoder: &D,
-    spec: &ExperimentSpec,
-    seed: u64,
-) -> Result<DecodeStats, McError> {
-    match spec.shots {
-        ShotBudget::Fixed(shots) => {
-            mc::logical_error_rate_sampled(sampler, decoder, shots, seed, &spec.mc)
-        }
-        ShotBudget::UntilFailures {
-            max_shots,
-            target_failures,
-        } => mc::logical_error_rate_until_sampled(
-            sampler,
-            decoder,
-            max_shots,
-            target_failures,
-            seed,
-            &spec.mc,
-        ),
-    }
-}
-
 /// Runs the spec's shot budget through its chosen sampling path. The DEM
 /// path compiles the engine's already-extracted `dem` (no second
 /// extraction); the circuit path re-simulates gate by gate.
@@ -188,36 +164,14 @@ fn decode_budget<D: Decoder + Sync>(
     seed: u64,
 ) -> Result<DecodeStats, McError> {
     match spec.sampler {
-        SamplerChoice::Dem => spend_budget(&DemSampler::new(dem), decoder, spec, seed),
-        SamplerChoice::Circuit => spend_budget(&CircuitSampler::new(circuit), decoder, spec, seed),
-    }
-}
-
-/// Runs the spec's shot budget through the streaming pipeline: time-sliced
-/// sampling feeding per-shot windowed decode sessions, with resident
-/// syndrome memory bounded by the decoding window instead of the circuit
-/// depth.
-fn decode_budget_streamed(
-    sampler: &StreamingDemSampler,
-    decoder: &WindowedDecoder<UniformLayers>,
-    spec: &ExperimentSpec,
-    seed: u64,
-) -> Result<DecodeStats, McError> {
-    match spec.shots {
-        ShotBudget::Fixed(shots) => {
-            mc::logical_error_rate_streamed(sampler, decoder, shots, seed, &spec.mc)
+        SamplerChoice::Dem => {
+            let sampler = DemSampler::new(dem);
+            mc::logical_error_rate_sampled(&sampler, decoder, spec.shots, seed, &spec.mc)
         }
-        ShotBudget::UntilFailures {
-            max_shots,
-            target_failures,
-        } => mc::logical_error_rate_until_streamed(
-            sampler,
-            decoder,
-            max_shots,
-            target_failures,
-            seed,
-            &spec.mc,
-        ),
+        SamplerChoice::Circuit => {
+            let sampler = CircuitSampler::new(circuit);
+            mc::logical_error_rate_sampled(&sampler, decoder, spec.shots, seed, &spec.mc)
+        }
     }
 }
 
@@ -328,7 +282,15 @@ pub fn try_run_timed(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTimi
                 let decoder = WindowedDecoder::try_new(graph, layers, commit, buffer)
                     .unwrap_or_else(|e| panic!("streaming windowed decode rejected: {e}"));
                 let sampler = StreamingDemSampler::new(&dem, detectors_per_layer);
-                timed(&|| decode_budget_streamed(&sampler, &decoder, spec, decode_seed))
+                timed(&|| {
+                    mc::logical_error_rate_streamed(
+                        &sampler,
+                        &decoder,
+                        spec.shots,
+                        decode_seed,
+                        &spec.mc,
+                    )
+                })
             } else {
                 // The batch path stays permissive: convergence sweeps
                 // legitimately drive buffer 0 and global-window points.
@@ -428,7 +390,7 @@ pub fn run_sweep(grid: &SweepGrid) -> Vec<ExperimentRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::Rounds;
+    use crate::spec::{Rounds, ShotBudget};
     use raa_decode::McConfig;
 
     fn memory_spec() -> ExperimentSpec {

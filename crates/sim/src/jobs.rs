@@ -1,12 +1,10 @@
 //! The JSON-lines job codec spoken between `raa-sweepd` and its clients.
 //!
 //! One request per line, one response per line, over any byte stream
-//! (TCP in practice). The wire format is self-contained JSON built on the
-//! crate's own recursive [`Json`] value — the record format's flat parser
-//! ([`crate::record`]) deliberately rejects nesting, and the workspace is
-//! offline-vendored, so the codec carries its own (depth-limited) parser
-//! and writer with the exact same escaping and shortest-round-trip float
-//! formatting rules as the record format.
+//! (TCP in practice). The wire format is JSON built on the crate's one
+//! codec, the recursive [`Json`] value, so requests, responses and the
+//! records inside them share its escaping and shortest-round-trip float
+//! formatting rules.
 //!
 //! Two transport rules keep the daemon's headline guarantees intact:
 //!
@@ -42,394 +40,27 @@
 
 use crate::calibrate::{Calibration, CalibrationConfig};
 use crate::error::PoisonedPoint;
-use crate::orchestrator::ScrubReport;
+use crate::json::{
+    num, obj, req_arr, req_bool, req_f64, req_field, req_opt_f64, req_str, req_u64_str, req_usize,
+    s, unum,
+};
+use crate::orchestrator::{budget_fingerprint, rounds_fingerprint, ScrubReport};
 use crate::record::ExperimentRecord;
-use crate::spec::{DecoderChoice, ExperimentSpec, Rounds, SamplerChoice, Scenario, ShotBudget};
+use crate::spec::{
+    basis_from_label, basis_label, DecoderChoice, ExperimentSpec, Rounds, SamplerChoice, Scenario,
+    ShotBudget,
+};
 use raa_core::fit::FitResult;
 use raa_core::ErrorModelParams;
 use raa_factory::FactoryProtocol;
 use raa_gadgets::GadgetKind;
-use raa_surface::{Basis, NoiseModel};
+use raa_surface::NoiseModel;
 
-/// Deepest nesting the wire parser accepts (requests are ~3 levels deep;
-/// the limit exists so hostile input cannot blow the stack).
-const MAX_DEPTH: usize = 16;
-
-/// A JSON value, recursive (unlike the record format's flat parser).
-/// Object fields keep insertion order, so encoding is deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (written with shortest round-trip formatting).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, fields in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON value (the whole input must be consumed).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    /// Serializes to a single line (no interior newlines: every newline in
-    /// a string is escaped, so one value is always one line).
-    pub fn to_line(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_json_string(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(out, key);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Field lookup on an object (`None` on other variants).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// The exact escaping rules of the record format.
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH}"));
-        }
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'n') if self.literal("null") => Ok(Json::Null),
-            Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect_byte(b':')?;
-                    let value = self.value(depth + 1)?;
-                    fields.push((key, value));
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(&other) => Err(format!(
-                "unexpected byte {:?} at offset {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("malformed number at offset {start}"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("malformed number {text:?} at offset {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("malformed \\u escape {hex:?}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid \\u code point {code:#x}"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unknown escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let Some(ch) = rest.chars().next() else {
-                        return Err("invalid utf-8 in string".to_string());
-                    };
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-}
+pub use crate::json::Json;
 
 // ---------------------------------------------------------------------------
-// Field helpers
+// Spec codec (rounds and shot budgets travel in their fingerprint text form)
 // ---------------------------------------------------------------------------
-
-fn req_field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
-    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn req_str(obj: &Json, key: &str) -> Result<String, String> {
-    req_field(obj, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("field {key:?} must be a string"))
-}
-
-fn req_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    req_field(obj, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field {key:?} must be a number"))
-}
-
-fn req_usize(obj: &Json, key: &str) -> Result<usize, String> {
-    let v = req_f64(obj, key)?;
-    if v < 0.0 || v.fract() != 0.0 || v > 2f64.powi(53) {
-        return Err(format!("field {key:?} must be a non-negative integer"));
-    }
-    Ok(v as usize)
-}
-
-fn req_bool(obj: &Json, key: &str) -> Result<bool, String> {
-    req_field(obj, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field {key:?} must be a boolean"))
-}
-
-fn req_u64_str(obj: &Json, key: &str) -> Result<u64, String> {
-    req_str(obj, key)?
-        .parse()
-        .map_err(|_| format!("field {key:?} must be a decimal u64 string"))
-}
-
-fn req_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    req_field(obj, key)?
-        .as_arr()
-        .ok_or_else(|| format!("field {key:?} must be an array"))
-}
-
-fn num(v: f64) -> Json {
-    Json::Num(v)
-}
-
-fn unum(v: usize) -> Json {
-    Json::Num(v as f64)
-}
-
-fn s(v: impl Into<String>) -> Json {
-    Json::Str(v.into())
-}
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-}
-
-// ---------------------------------------------------------------------------
-// Spec codec
-// ---------------------------------------------------------------------------
-
-fn rounds_to_wire(rounds: Rounds) -> String {
-    match rounds {
-        Rounds::Fixed(n) => format!("fixed:{n}"),
-        Rounds::TimesDistance(k) => format!("xd:{k}"),
-    }
-}
 
 fn rounds_from_wire(text: &str) -> Result<Rounds, String> {
     let parse = |v: &str| v.parse().map_err(|_| format!("malformed rounds {text:?}"));
@@ -439,16 +70,6 @@ fn rounds_from_wire(text: &str) -> Result<Rounds, String> {
         Ok(Rounds::TimesDistance(parse(k)?))
     } else {
         Err(format!("malformed rounds {text:?}"))
-    }
-}
-
-fn shots_to_wire(shots: ShotBudget) -> String {
-    match shots {
-        ShotBudget::Fixed(n) => format!("fixed:{n}"),
-        ShotBudget::UntilFailures {
-            max_shots,
-            target_failures,
-        } => format!("until:{max_shots}:{target_failures}"),
     }
 }
 
@@ -492,21 +113,6 @@ fn sampler_from_label(label: &str) -> Result<SamplerChoice, String> {
     }
 }
 
-fn basis_to_wire(basis: Basis) -> &'static str {
-    match basis {
-        Basis::Z => "Z",
-        Basis::X => "X",
-    }
-}
-
-fn basis_from_wire(text: &str) -> Result<Basis, String> {
-    match text {
-        "Z" => Ok(Basis::Z),
-        "X" => Ok(Basis::X),
-        other => Err(format!("unknown basis {other:?}")),
-    }
-}
-
 /// Encodes a spec as a flat wire object. The `mc` execution parameters are
 /// deliberately dropped: they cannot change the record, and the server owns
 /// its execution budget.
@@ -516,7 +122,7 @@ pub fn spec_to_json(spec: &ExperimentSpec) -> Json {
         ("scenario", s(spec.scenario.label())),
     ];
     match spec.scenario {
-        Scenario::Memory { rounds } => fields.push(("rounds", s(rounds_to_wire(rounds)))),
+        Scenario::Memory { rounds } => fields.push(("rounds", s(rounds_fingerprint(rounds)))),
         Scenario::TransversalCnot {
             patches,
             depth,
@@ -533,24 +139,24 @@ pub fn spec_to_json(spec: &ExperimentSpec) -> Json {
             cnots_per_round,
         } => {
             fields.push(("patches", unum(patches)));
-            fields.push(("rounds", s(rounds_to_wire(rounds))));
+            fields.push(("rounds", s(rounds_fingerprint(rounds))));
             fields.push(("cnots_per_round", num(cnots_per_round)));
         }
         // The protocol/kind is carried by the per-variant scenario label.
         Scenario::MagicFactory { rounds, .. } => {
-            fields.push(("rounds", s(rounds_to_wire(rounds))));
+            fields.push(("rounds", s(rounds_fingerprint(rounds))));
         }
         Scenario::Gadget { width, rounds, .. } => {
             fields.push(("width", unum(width)));
-            fields.push(("rounds", s(rounds_to_wire(rounds))));
+            fields.push(("rounds", s(rounds_fingerprint(rounds))));
         }
         Scenario::Code832Memory { rounds } => {
-            fields.push(("rounds", s(rounds_to_wire(rounds))));
+            fields.push(("rounds", s(rounds_fingerprint(rounds))));
         }
     }
     fields.extend([
         ("distance", num(f64::from(spec.distance))),
-        ("basis", s(basis_to_wire(spec.basis))),
+        ("basis", s(basis_label(spec.basis))),
         ("p2", num(spec.noise.p2)),
         ("p_idle", num(spec.noise.p_idle)),
         ("p_prep", num(spec.noise.p_prep)),
@@ -558,7 +164,7 @@ pub fn spec_to_json(spec: &ExperimentSpec) -> Json {
         ("decoder", s(spec.decoder.label())),
         ("sampler", s(spec.sampler.label())),
         ("streaming", Json::Bool(spec.streaming)),
-        ("shots", s(shots_to_wire(spec.shots))),
+        ("shots", s(budget_fingerprint(spec.shots))),
         ("seed", s(spec.seed.to_string())),
     ]);
     obj(fields)
@@ -618,7 +224,7 @@ pub fn spec_from_json(v: &Json) -> Result<ExperimentSpec, String> {
     };
     let distance = req_usize(v, "distance")? as u32;
     let mut spec = ExperimentSpec::new(req_str(v, "name")?, scenario, distance);
-    spec.basis = basis_from_wire(&req_str(v, "basis")?)?;
+    spec.basis = basis_from_label(&req_str(v, "basis")?)?;
     spec.noise = NoiseModel {
         p2: req_f64(v, "p2")?,
         p_idle: req_f64(v, "p_idle")?,
@@ -709,13 +315,6 @@ fn config_from_json(v: &Json) -> Result<CalibrationConfig, String> {
 // Record transport
 // ---------------------------------------------------------------------------
 
-/// A record travels as its exact JSON line inside one JSON string — the
-/// escaping is lossless, so the bytes a warm client replays are identical
-/// to what a local sweep writes.
-fn record_to_wire(record: &ExperimentRecord) -> Json {
-    Json::Str(record.to_json())
-}
-
 fn record_from_wire(v: &Json) -> Result<Option<ExperimentRecord>, String> {
     match v {
         Json::Null => Ok(None),
@@ -724,11 +323,13 @@ fn record_from_wire(v: &Json) -> Result<Option<ExperimentRecord>, String> {
     }
 }
 
-fn records_to_wire(records: &[Option<ExperimentRecord>]) -> Json {
+/// A record travels as its exact JSON line inside one JSON string — the
+/// escaping is lossless, so the bytes a warm client replays are identical
+/// to what a local sweep writes. Empty slots travel as `null`.
+fn records_to_wire<'a>(slots: impl Iterator<Item = Option<&'a ExperimentRecord>>) -> Json {
     Json::Arr(
-        records
-            .iter()
-            .map(|slot| slot.as_ref().map_or(Json::Null, record_to_wire))
+        slots
+            .map(|slot| slot.map_or(Json::Null, |r| Json::Str(r.to_json())))
             .collect(),
     )
 }
@@ -1041,7 +642,10 @@ impl Response {
                     "poisoned",
                     Json::Arr(poisoned.iter().map(poisoned_to_wire).collect()),
                 ),
-                ("records", records_to_wire(records)),
+                (
+                    "records",
+                    records_to_wire(records.iter().map(Option::as_ref)),
+                ),
             ]),
             Response::Query {
                 id,
@@ -1054,17 +658,14 @@ impl Response {
                 ("status", s("ok")),
                 ("hits", unum(*hits)),
                 ("misses", unum(*misses)),
-                ("records", records_to_wire(records)),
+                (
+                    "records",
+                    records_to_wire(records.iter().map(Option::as_ref)),
+                ),
             ]),
             Response::Calibrate { id, calibration } => {
-                let memory: Vec<Option<ExperimentRecord>> = calibration
-                    .memory_records
-                    .iter()
-                    .cloned()
-                    .map(Some)
-                    .collect();
-                let cnot: Vec<Option<ExperimentRecord>> =
-                    calibration.cnot_records.iter().cloned().map(Some).collect();
+                let memory = records_to_wire(calibration.memory_records.iter().map(Some));
+                let cnot = records_to_wire(calibration.cnot_records.iter().map(Some));
                 obj(vec![
                     ("type", s("calibrate")),
                     ("id", s(id)),
@@ -1082,8 +683,8 @@ impl Response {
                     ("fresh_points", unum(calibration.fresh_points)),
                     ("cached_points", unum(calibration.cached_points)),
                     ("fresh_shots", unum(calibration.fresh_shots)),
-                    ("memory_records", records_to_wire(&memory)),
-                    ("cnot_records", records_to_wire(&cnot)),
+                    ("memory_records", memory),
+                    ("cnot_records", cnot),
                 ])
             }
             Response::Status { id, status } => obj(vec![
@@ -1189,19 +790,11 @@ impl Response {
                     p_thres: req_f64(&v, "p_thres")?,
                     alpha: fit.alpha,
                 };
-                let lambda_memory = match req_field(&v, "lambda_memory")? {
-                    Json::Null => None,
-                    other => Some(
-                        other
-                            .as_f64()
-                            .ok_or("field \"lambda_memory\" must be a number or null")?,
-                    ),
-                };
                 Ok(Response::Calibrate {
                     id,
                     calibration: Calibration {
                         fit,
-                        lambda_memory,
+                        lambda_memory: req_opt_f64(&v, "lambda_memory")?,
                         params,
                         memory_records: dense_records(
                             records_from_field(&v, "memory_records")?,
@@ -1272,7 +865,9 @@ impl Response {
 mod tests {
     use super::*;
     use crate::engine;
+    use crate::json::MAX_DEPTH;
     use crate::spec::SweepGrid;
+    use raa_surface::Basis;
 
     fn sample_specs() -> Vec<ExperimentSpec> {
         let mut specs = SweepGrid::new(

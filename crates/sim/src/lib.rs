@@ -33,9 +33,11 @@
 //! [`Scenario::DeepCnot`] workload) stream: with `spec.streaming = true`
 //! and a windowed decoder, sampling and decoding proceed one detector time
 //! layer at a time through the time-sliced pipeline of
-//! [`raa_decode::mc::logical_error_rate_streamed`], keeping resident
-//! syndrome memory bounded by the decoding window instead of the circuit
-//! depth — same determinism guarantees, `"streaming":true` in the record.
+//! [`raa_decode::mc::logical_error_rate_streamed`] (the other of the two
+//! Monte-Carlo estimators, spending the same [`ShotBudget`]), keeping
+//! resident syndrome memory bounded by the decoding window instead of the
+//! circuit depth — same determinism guarantees, `"streaming":true` in the
+//! record.
 //!
 //! # Example: a seeded memory experiment
 //!
@@ -65,6 +67,7 @@ pub mod calibrate;
 pub mod engine;
 pub mod error;
 pub mod jobs;
+mod json;
 pub mod lock;
 pub mod orchestrator;
 pub mod record;

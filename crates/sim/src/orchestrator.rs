@@ -87,7 +87,9 @@ use std::time::{Duration, SystemTime};
 /// misses instead of replaying records from the old pipeline.
 const FINGERPRINT_VERSION: u32 = 1;
 
-fn rounds_fingerprint(rounds: Rounds) -> String {
+/// The canonical text form of a round count (`fixed:n` / `xd:k`), shared by
+/// fingerprints and the job wire format.
+pub(crate) fn rounds_fingerprint(rounds: Rounds) -> String {
     match rounds {
         Rounds::Fixed(n) => format!("fixed:{n}"),
         Rounds::TimesDistance(k) => format!("xd:{k}"),
@@ -130,7 +132,9 @@ fn scenario_fingerprint(scenario: &Scenario) -> String {
     }
 }
 
-fn budget_fingerprint(budget: ShotBudget) -> String {
+/// The canonical text form of a shot budget (`fixed:n` /
+/// `until:max:target`), shared by fingerprints and the job wire format.
+pub(crate) fn budget_fingerprint(budget: ShotBudget) -> String {
     match budget {
         ShotBudget::Fixed(shots) => format!("fixed:{shots}"),
         ShotBudget::UntilFailures {

@@ -2,15 +2,20 @@
 //!
 //! A record is the full, self-describing outcome of one engine run: the
 //! spec echo (scenario, geometry, noise, decoder, seed), the circuit/DEM
-//! shape and the decode statistics. Serialization is hand-rolled (the build
-//! has no serde) with a fixed key order and shortest-round-trip float
-//! formatting, so for a given spec the JSON is **byte-identical across
-//! runs, platforms and thread counts** — the property the engine's
-//! determinism tests pin. [`ExperimentRecord::from_json`] parses the same
-//! format back losslessly (`from_json ∘ to_json = id`, proptest-pinned),
-//! which is what lets the sweep orchestrator's on-disk cache replay
-//! records byte-for-byte.
+//! shape and the decode statistics. Serialization goes through the crate's
+//! one JSON codec ([`crate::jobs::Json`]) with a fixed key order and
+//! shortest-round-trip float formatting, so for a given spec the JSON is
+//! **byte-identical across runs, platforms and thread counts** — the
+//! property the engine's determinism tests pin.
+//! [`ExperimentRecord::from_json`] parses the same format back losslessly
+//! (`from_json ∘ to_json = id`, proptest-pinned), which is what lets the
+//! sweep orchestrator's on-disk cache replay records byte-for-byte.
 
+use crate::json::{
+    num, obj, req_bool, req_f64, req_opt_f64, req_str, req_u64_str, req_usize, s, unum, Json,
+};
+use crate::spec::{basis_from_label, basis_label};
+use raa_decode::DecodeStats;
 use raa_surface::experiments::per_unit_rate;
 use raa_surface::{Basis, NoiseModel};
 
@@ -58,22 +63,22 @@ pub struct ExperimentRecord {
 }
 
 impl ExperimentRecord {
+    /// The decode statistics the record carries.
+    fn stats(&self) -> DecodeStats {
+        DecodeStats {
+            shots: self.shots,
+            failures: self.failures,
+        }
+    }
+
     /// The logical error rate estimate (failures / shots).
     pub fn logical_error_rate(&self) -> f64 {
-        if self.shots == 0 {
-            0.0
-        } else {
-            self.failures as f64 / self.shots as f64
-        }
+        self.stats().logical_error_rate()
     }
 
     /// Binomial standard error of the estimate.
     pub fn standard_error(&self) -> f64 {
-        if self.shots == 0 {
-            return 0.0;
-        }
-        let p = self.logical_error_rate();
-        (p * (1.0 - p) / self.shots as f64).sqrt()
+        self.stats().standard_error()
     }
 
     /// Logical error rate per logical qubit per SE round, assuming
@@ -92,153 +97,85 @@ impl ExperimentRecord {
 
     /// Serializes the record to one line of JSON with a fixed key order.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push('{');
-        json_str(&mut s, "name", &self.name);
-        json_str(&mut s, "scenario", &self.scenario);
-        json_num(&mut s, "distance", self.distance as f64);
-        json_str(
-            &mut s,
-            "basis",
-            match self.basis {
-                Basis::Z => "Z",
-                Basis::X => "X",
-            },
-        );
-        json_num(&mut s, "patches", self.patches as f64);
-        json_num(&mut s, "cnots", self.cnots as f64);
-        json_num(&mut s, "se_rounds", self.se_rounds as f64);
-        json_opt(&mut s, "cnots_per_round", self.cnots_per_round);
-        json_num(&mut s, "p2", self.noise.p2);
-        json_num(&mut s, "p_idle", self.noise.p_idle);
-        json_num(&mut s, "p_prep", self.noise.p_prep);
-        json_num(&mut s, "p_meas", self.noise.p_meas);
-        json_str(&mut s, "decoder", &self.decoder);
-        json_str(&mut s, "sampler", &self.sampler);
-        json_bool(&mut s, "streaming", self.streaming);
-        // u64 seeds overflow JSON's interoperable double range: keep as text.
-        json_str(&mut s, "seed", &self.seed.to_string());
-        json_num(&mut s, "num_detectors", self.num_detectors as f64);
-        json_num(&mut s, "num_dem_errors", self.num_dem_errors as f64);
-        json_num(
-            &mut s,
-            "arbitrary_decompositions",
-            self.arbitrary_decompositions as f64,
-        );
-        json_num(&mut s, "shots", self.shots as f64);
-        json_num(&mut s, "failures", self.failures as f64);
-        json_num(&mut s, "logical_error_rate", self.logical_error_rate());
-        json_num(&mut s, "standard_error", self.standard_error());
-        json_num(
-            &mut s,
-            "error_per_qubit_round",
-            self.error_per_qubit_round(),
-        );
-        json_opt(&mut s, "error_per_cnot", self.error_per_cnot());
-        s.pop(); // trailing comma
-        s.push('}');
-        s
+        let opt = |v: Option<f64>| v.map_or(Json::Null, num);
+        obj(vec![
+            ("name", s(&self.name)),
+            ("scenario", s(&self.scenario)),
+            ("distance", num(f64::from(self.distance))),
+            ("basis", s(basis_label(self.basis))),
+            ("patches", unum(self.patches)),
+            ("cnots", unum(self.cnots)),
+            ("se_rounds", unum(self.se_rounds)),
+            ("cnots_per_round", opt(self.cnots_per_round)),
+            ("p2", num(self.noise.p2)),
+            ("p_idle", num(self.noise.p_idle)),
+            ("p_prep", num(self.noise.p_prep)),
+            ("p_meas", num(self.noise.p_meas)),
+            ("decoder", s(&self.decoder)),
+            ("sampler", s(&self.sampler)),
+            ("streaming", Json::Bool(self.streaming)),
+            // u64 seeds overflow JSON's interoperable double range: keep as text.
+            ("seed", s(self.seed.to_string())),
+            ("num_detectors", unum(self.num_detectors)),
+            ("num_dem_errors", unum(self.num_dem_errors)),
+            (
+                "arbitrary_decompositions",
+                unum(self.arbitrary_decompositions),
+            ),
+            ("shots", unum(self.shots)),
+            ("failures", unum(self.failures)),
+            ("logical_error_rate", num(self.logical_error_rate())),
+            ("standard_error", num(self.standard_error())),
+            ("error_per_qubit_round", num(self.error_per_qubit_round())),
+            ("error_per_cnot", opt(self.error_per_cnot())),
+        ])
+        .to_line()
     }
-}
 
-impl ExperimentRecord {
     /// Parses a record from the JSON produced by [`ExperimentRecord::to_json`].
     ///
-    /// The parser accepts any flat JSON object (keys in any order, unknown
-    /// keys ignored — derived rates like `logical_error_rate` are
-    /// recomputed, not read back). Because `to_json` uses shortest
-    /// round-trip float formatting and text-encodes the `seed` (u64 values
-    /// overflow JSON's interoperable double range), the composition
-    /// `from_json ∘ to_json` is the identity, field for field and therefore
-    /// byte for byte on re-serialization.
+    /// Accepts any JSON object holding the record fields (keys in any
+    /// order, unknown keys ignored — derived rates like
+    /// `logical_error_rate` are recomputed, not read back). Because
+    /// `to_json` uses shortest round-trip float formatting and text-encodes
+    /// the `seed` (u64 values overflow JSON's interoperable double range),
+    /// the composition `from_json ∘ to_json` is the identity, field for
+    /// field and therefore byte for byte on re-serialization.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first problem found: malformed JSON, a
-    /// missing required field, or a field value of the wrong type/range
-    /// (e.g. a fractional `shots`, a seed that is not a `u64`, an unknown
-    /// `basis` letter).
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let fields = parse_flat_object(s)?;
-        let get = |key: &str| -> Result<&JsonValue, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field \"{key}\""))
-        };
-        let get_str = |key: &str| -> Result<String, String> {
-            match get(key)? {
-                JsonValue::Str(v) => Ok(v.clone()),
-                other => Err(format!("field \"{key}\": expected string, got {other:?}")),
-            }
-        };
-        let get_f64 = |key: &str| -> Result<f64, String> {
-            match get(key)? {
-                JsonValue::Num(v) => Ok(*v),
-                other => Err(format!("field \"{key}\": expected number, got {other:?}")),
-            }
-        };
-        let get_usize = |key: &str| -> Result<usize, String> {
-            let v = get_f64(key)?;
-            if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 {
-                Ok(v as usize)
-            } else {
-                Err(format!(
-                    "field \"{key}\": expected non-negative integer, got {v}"
-                ))
-            }
-        };
-        let get_bool = |key: &str| -> Result<bool, String> {
-            match get(key)? {
-                JsonValue::Bool(v) => Ok(*v),
-                other => Err(format!("field \"{key}\": expected bool, got {other:?}")),
-            }
-        };
-        let get_opt_f64 = |key: &str| -> Result<Option<f64>, String> {
-            match get(key)? {
-                JsonValue::Num(v) => Ok(Some(*v)),
-                JsonValue::Null => Ok(None),
-                other => Err(format!(
-                    "field \"{key}\": expected number or null, got {other:?}"
-                )),
-            }
-        };
-        let basis = match get_str("basis")?.as_str() {
-            "Z" => Basis::Z,
-            "X" => Basis::X,
-            other => return Err(format!("field \"basis\": unknown basis {other:?}")),
-        };
-        let seed_text = get_str("seed")?;
-        let seed: u64 = seed_text
-            .parse()
-            .map_err(|_| format!("field \"seed\": not a u64: {seed_text:?}"))?;
-        let distance = u32::try_from(get_usize("distance")?)
-            .map_err(|_| "field \"distance\": exceeds u32".to_string())?;
+    /// Returns a description of the first problem found, naming the field:
+    /// malformed JSON, a missing required field, or a field value of the
+    /// wrong type/range (e.g. a fractional `shots`, a seed that is not a
+    /// `u64`, an unknown `basis` letter).
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let v = Json::parse(text)?;
         Ok(ExperimentRecord {
-            name: get_str("name")?,
-            scenario: get_str("scenario")?,
-            distance,
-            basis,
-            patches: get_usize("patches")?,
-            cnots: get_usize("cnots")?,
-            se_rounds: get_usize("se_rounds")?,
-            cnots_per_round: get_opt_f64("cnots_per_round")?,
+            name: req_str(&v, "name")?,
+            scenario: req_str(&v, "scenario")?,
+            distance: u32::try_from(req_usize(&v, "distance")?)
+                .map_err(|_| "field \"distance\" exceeds u32")?,
+            basis: basis_from_label(&req_str(&v, "basis")?)
+                .map_err(|e| format!("field \"basis\": {e}"))?,
+            patches: req_usize(&v, "patches")?,
+            cnots: req_usize(&v, "cnots")?,
+            se_rounds: req_usize(&v, "se_rounds")?,
+            cnots_per_round: req_opt_f64(&v, "cnots_per_round")?,
             noise: NoiseModel {
-                p2: get_f64("p2")?,
-                p_idle: get_f64("p_idle")?,
-                p_prep: get_f64("p_prep")?,
-                p_meas: get_f64("p_meas")?,
+                p2: req_f64(&v, "p2")?,
+                p_idle: req_f64(&v, "p_idle")?,
+                p_prep: req_f64(&v, "p_prep")?,
+                p_meas: req_f64(&v, "p_meas")?,
             },
-            decoder: get_str("decoder")?,
-            sampler: get_str("sampler")?,
-            streaming: get_bool("streaming")?,
-            seed,
-            num_detectors: get_usize("num_detectors")?,
-            num_dem_errors: get_usize("num_dem_errors")?,
-            arbitrary_decompositions: get_usize("arbitrary_decompositions")?,
-            shots: get_usize("shots")?,
-            failures: get_usize("failures")?,
+            decoder: req_str(&v, "decoder")?,
+            sampler: req_str(&v, "sampler")?,
+            streaming: req_bool(&v, "streaming")?,
+            seed: req_u64_str(&v, "seed")?,
+            num_detectors: req_usize(&v, "num_detectors")?,
+            num_dem_errors: req_usize(&v, "num_dem_errors")?,
+            arbitrary_decompositions: req_usize(&v, "arbitrary_decompositions")?,
+            shots: req_usize(&v, "shots")?,
+            failures: req_usize(&v, "failures")?,
         })
     }
 }
@@ -253,56 +190,6 @@ pub fn to_json_lines(records: &[ExperimentRecord]) -> String {
     out
 }
 
-fn json_key(s: &mut String, key: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-}
-
-fn json_str(s: &mut String, key: &str, value: &str) {
-    json_key(s, key);
-    s.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push_str("\",");
-}
-
-fn json_bool(s: &mut String, key: &str, value: bool) {
-    json_key(s, key);
-    s.push_str(if value { "true" } else { "false" });
-    s.push(',');
-}
-
-fn json_num(s: &mut String, key: &str, value: f64) {
-    json_key(s, key);
-    if value.is_finite() {
-        // Shortest round-trip formatting: deterministic and lossless.
-        s.push_str(&format!("{value}"));
-    } else {
-        s.push_str("null");
-    }
-    s.push(',');
-}
-
-fn json_opt(s: &mut String, key: &str, value: Option<f64>) {
-    match value {
-        Some(v) => json_num(s, key, v),
-        None => {
-            json_key(s, key);
-            s.push_str("null,");
-        }
-    }
-}
-
 /// Parses newline-delimited JSON records ([`to_json_lines`] output); blank
 /// lines are skipped. Fails on the first malformed record, identifying its
 /// line number.
@@ -314,165 +201,6 @@ pub fn parse_json_lines(text: &str) -> Result<Vec<ExperimentRecord>, String> {
             ExperimentRecord::from_json(line).map_err(|e| format!("line {}: {e}", i + 1))
         })
         .collect()
-}
-
-/// One value of a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-/// Parses a single flat JSON object (no nesting — the record format) into
-/// its key/value pairs in document order.
-fn parse_flat_object(s: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.parse_value()?;
-            fields.push((key, value));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after object at offset {}", p.pos));
-    }
-    Ok(fields)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(format!("expected {:?}, got {other:?}", want as char)),
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.parse_literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn parse_literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("expected literal {word:?} at offset {}", self.pos))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("malformed number {text:?}"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        if self.pos + 4 > self.bytes.len() {
-                            return Err("truncated \\u escape".into());
-                        }
-                        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                            .map_err(|_| "non-ascii \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("malformed \\u escape {hex:?}"))?;
-                        self.pos += 4;
-                        // The writer only emits \u for control characters
-                        // (< 0x20), so surrogate pairs never occur here.
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("invalid \\u code point {code:#x}"))?,
-                        );
-                    }
-                    other => return Err(format!("unknown escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Multi-byte UTF-8: the input is a &str, so the bytes
-                    // are valid — find the char at this byte position.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8() - 1;
-                    let _ = b;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -531,6 +259,47 @@ mod tests {
         assert!(j.contains("\"p2\":0.001"));
         assert!(j.contains("\"failures\":25"));
         assert!(!j.contains(",}"), "no trailing comma: {j}");
+    }
+
+    /// The exact bytes of two records: on-disk caches and the daemon's wire
+    /// replay depend on this layout (key order, escaping, float formatting,
+    /// text-encoded seed), so any change to it must show up here.
+    #[test]
+    fn json_golden_bytes() {
+        let mut escaped = record();
+        escaped.name = "gold/\"q\"\\p\n\t\r\u{1}é".into();
+        escaped.noise = NoiseModel {
+            p2: 1e-3,
+            p_idle: 2.5e-4,
+            p_prep: 0.002,
+            p_meas: 0.0015,
+        };
+        escaped.failures = 37;
+        assert_eq!(
+            escaped.to_json(),
+            r#"{"name":"gold/\"q\"\\p\n\t\r\u0001é","scenario":"memory","distance":3,"basis":"Z","patches":1,"cnots":0,"se_rounds":6,"cnots_per_round":null,"p2":0.001,"p_idle":0.00025,"p_prep":0.002,"p_meas":0.0015,"decoder":"union_find","sampler":"dem","streaming":false,"seed":"18446744073709551615","num_detectors":24,"num_dem_errors":100,"arbitrary_decompositions":0,"shots":10000,"failures":37,"logical_error_rate":0.0037,"standard_error":0.0006071498991188255,"error_per_qubit_round":0.0006176195163867249,"error_per_cnot":null}"#
+        );
+        let mut streamed = record();
+        streamed.name = "gold/deep".into();
+        streamed.scenario = "deep_cnot".into();
+        streamed.distance = 7;
+        streamed.basis = Basis::X;
+        streamed.patches = 2;
+        streamed.cnots = 34;
+        streamed.se_rounds = 70;
+        streamed.cnots_per_round = Some(0.5);
+        streamed.decoder = "windowed_7+7".into();
+        streamed.streaming = true;
+        streamed.seed = 12_345;
+        streamed.num_detectors = 3_360;
+        streamed.num_dem_errors = 40_321;
+        streamed.arbitrary_decompositions = 3;
+        streamed.shots = 2_048;
+        streamed.failures = 5;
+        assert_eq!(
+            streamed.to_json(),
+            r#"{"name":"gold/deep","scenario":"deep_cnot","distance":7,"basis":"X","patches":2,"cnots":34,"se_rounds":70,"cnots_per_round":0.5,"p2":0.001,"p_idle":0.001,"p_prep":0.001,"p_meas":0.001,"decoder":"windowed_7+7","sampler":"dem","streaming":true,"seed":"12345","num_detectors":3360,"num_dem_errors":40321,"arbitrary_decompositions":3,"shots":2048,"failures":5,"logical_error_rate":0.00244140625,"standard_error":0.0010904964522923213,"error_per_qubit_round":0.000017459785731754884,"error_per_cnot":0.00007189127869156042}"#
+        );
     }
 
     #[test]

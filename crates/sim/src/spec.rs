@@ -7,10 +7,29 @@
 //! distances × physical error rates × (optionally) CNOTs-per-round ×
 //! decoders into such specs with per-point derived seeds.
 
+pub use raa_decode::mc::ShotBudget;
 use raa_decode::McConfig;
 use raa_factory::FactoryProtocol;
 use raa_gadgets::GadgetKind;
 use raa_surface::{Basis, NoiseModel};
+
+/// Stable label of a logical basis ("Z", "X"), used in records and on the
+/// wire.
+pub(crate) fn basis_label(basis: Basis) -> &'static str {
+    match basis {
+        Basis::Z => "Z",
+        Basis::X => "X",
+    }
+}
+
+/// Parses a [`basis_label`].
+pub(crate) fn basis_from_label(text: &str) -> Result<Basis, String> {
+    match text {
+        "Z" => Ok(Basis::Z),
+        "X" => Ok(Basis::X),
+        other => Err(format!("unknown basis {other:?}")),
+    }
+}
 
 /// How many syndrome-extraction rounds a memory experiment runs.
 ///
@@ -192,22 +211,6 @@ impl Scenario {
             Scenario::TransversalCnot { .. } | Scenario::GhzFanout { .. } => None,
         }
     }
-}
-
-/// How many shots to spend on one spec point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShotBudget {
-    /// Decode exactly this many shots.
-    Fixed(usize),
-    /// Decode until `target_failures` failures (deterministic early stop,
-    /// see [`raa_decode::mc::logical_error_rate_until_seeded`]), capped at
-    /// `max_shots`.
-    UntilFailures {
-        /// Hard cap on shots.
-        max_shots: usize,
-        /// Failure count that stops the run.
-        target_failures: usize,
-    },
 }
 
 /// Which sampling path feeds the Monte-Carlo decode loop.

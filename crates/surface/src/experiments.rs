@@ -7,7 +7,7 @@
 //! (correlated decoding) from the circuit's detector error model.
 
 use crate::builder::{Basis, NoiseModel, PatchCircuitBuilder};
-use raa_decode::mc::{self, DecodeStats};
+use raa_decode::mc::{self, CircuitSampler, DecodeStats, McConfig};
 use raa_decode::{DecodingGraph, MatchingDecoder, UnionFindDecoder};
 use raa_stabsim::{Circuit, DetectorErrorModel};
 use rand::{Rng, RngExt};
@@ -391,16 +391,19 @@ fn decode_circuit<R: Rng>(
 ) -> DecodeStats {
     let dem = DetectorErrorModel::from_circuit(circuit);
     let (graph, _arbitrary) = DecodingGraph::from_dem_decomposed(&dem);
+    let sampler = CircuitSampler::new(circuit);
+    let (seed, cfg) = (rng.random(), McConfig::default());
     match decoder {
         DecoderKind::UnionFind => {
             let d = UnionFindDecoder::new(graph);
-            mc::logical_error_rate(circuit, &d, shots, rng)
+            mc::logical_error_rate_sampled(&sampler, &d, shots, seed, &cfg)
         }
         DecoderKind::Matching => {
             let d = MatchingDecoder::new(graph);
-            mc::logical_error_rate(circuit, &d, shots, rng)
+            mc::logical_error_rate_sampled(&sampler, &d, shots, seed, &cfg)
         }
     }
+    .expect("the default McConfig uses the ambient pool and cannot fail")
 }
 
 /// Runs a memory experiment end to end (build → DEM → decode → stats).

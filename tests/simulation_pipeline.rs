@@ -10,7 +10,7 @@ use raa::surface::{
     PatchCircuitBuilder, TransversalCnotExperiment,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -123,8 +123,14 @@ fn matching_reference_not_worse_than_unionfind() {
     let (graph, _) = DecodingGraph::from_dem_decomposed(&dem);
     let uf = UnionFindDecoder::new(graph.clone());
     let mwpm = MatchingDecoder::new(graph);
-    let r_uf = mc::logical_error_rate(&c, &uf, 20_000, &mut rng(4)).logical_error_rate();
-    let r_m = mc::logical_error_rate(&c, &mwpm, 20_000, &mut rng(4)).logical_error_rate();
+    let (sampler, cfg) = (mc::CircuitSampler::new(&c), mc::McConfig::default());
+    let seed = rng(4).random();
+    let r_uf = mc::logical_error_rate_sampled(&sampler, &uf, 20_000, seed, &cfg)
+        .unwrap()
+        .logical_error_rate();
+    let r_m = mc::logical_error_rate_sampled(&sampler, &mwpm, 20_000, seed, &cfg)
+        .unwrap()
+        .logical_error_rate();
     assert!(
         r_m <= r_uf * 1.2 + 0.005,
         "matching {r_m} vs union-find {r_uf}"
