@@ -33,12 +33,11 @@ use raa::sim::{ScrubOptions, ServiceConfig, SweepService};
 use raa_bench::{env_parse_strict, env_string};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Set from the signal handler; bridged onto the serve loop's shutdown
-/// flag by a watcher thread (the handler itself must stay async-signal-safe,
-/// so it only stores a flag).
+/// Set from the signal handler and handed to the serve loop as its
+/// shutdown flag (the handler itself must stay async-signal-safe, so it
+/// only stores a flag).
 static STOP: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -108,20 +107,7 @@ fn main() {
     );
 
     install_signal_handlers();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let watcher_flag = Arc::clone(&shutdown);
-    std::thread::Builder::new()
-        .name("raa-sweepd-signals".into())
-        .spawn(move || loop {
-            if STOP.load(Ordering::SeqCst) {
-                watcher_flag.store(true, Ordering::SeqCst);
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        })
-        .expect("spawning the signal watcher");
-
-    if let Err(e) = serve(listener, &service, &shutdown) {
+    if let Err(e) = serve(listener, &service, &STOP) {
         eprintln!("error: serve loop failed: {e}");
         std::process::exit(1);
     }

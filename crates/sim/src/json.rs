@@ -10,6 +10,8 @@
 //! line. Parsing is linear in the input length and depth-limited, so
 //! hostile input can neither blow the stack nor stall the daemon.
 
+use std::fmt::Write as _;
+
 /// Deepest nesting the parser accepts (requests are ~3 levels deep;
 /// the limit exists so hostile input cannot blow the stack).
 pub(crate) const MAX_DEPTH: usize = 16;
@@ -63,7 +65,7 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(v) => {
                 if v.is_finite() {
-                    out.push_str(&format!("{v}"));
+                    let _ = write!(out, "{v}");
                 } else {
                     out.push_str("null");
                 }
@@ -136,19 +138,30 @@ impl Json {
 }
 
 /// Writes `s` as a JSON string: `"`, `\\` and control characters escaped.
+///
+/// Every escaped character is ASCII, so the unescaped runs between them
+/// end on char boundaries and are copied as whole `&str` slices.
 fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run_start = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run_start..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
@@ -396,6 +409,74 @@ pub(crate) fn obj(fields: Vec<(&str, Json)>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-at-a-time writer the slice-copying one replaced, kept as
+    /// its byte-for-byte oracle.
+    fn write_json_string_oracle(out: &mut String, s: &str) {
+        out.push('"');
+        for ch in s.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Pieces that put every escape class, `\u{7f}` and 1- to 4-byte
+    /// UTF-8 scalars next to each other, so escapes land at the start,
+    /// middle and end of the unescaped runs.
+    const PIECES: [&str; 12] = [
+        "\"",
+        "\\",
+        "\n",
+        "\r",
+        "\t",
+        "\u{1}",
+        "\u{1f}",
+        "\u{7f}",
+        "plain run",
+        "é",
+        "中",
+        "𝄞",
+    ];
+
+    /// One string per draw: a piece by index, or past the table any
+    /// control character, or any scalar value.
+    fn draws_to_string(draws: &[(usize, u32)]) -> String {
+        draws
+            .iter()
+            .map(|&(kind, x)| match PIECES.get(kind) {
+                Some(piece) => (*piece).to_string(),
+                None if kind == PIECES.len() => char::from_u32(x % 0x20).unwrap().to_string(),
+                None => char::from_u32(x % 0x11_0000)
+                    .unwrap_or('\u{fffd}')
+                    .to_string(),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn string_writer_matches_char_at_a_time_oracle(
+            draws in collection::vec((0..PIECES.len() + 2, any::<u32>()), 0..24)
+        ) {
+            let s = draws_to_string(&draws);
+            let (mut fast, mut oracle) = (String::new(), String::new());
+            write_json_string(&mut fast, &s);
+            write_json_string_oracle(&mut oracle, &s);
+            prop_assert_eq!(&fast, &oracle);
+            prop_assert_eq!(Json::parse(&fast).unwrap(), Json::Str(s));
+        }
+    }
 
     #[test]
     fn long_strings_round_trip_across_run_boundaries() {

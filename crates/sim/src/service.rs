@@ -29,8 +29,10 @@
 //!   not take the daemon down with a second panic.
 //!
 //! [`serve`] runs the TCP front end (one JSON line in, one out, per-
-//! connection reader threads); [`ServiceClient`] is the matching client
-//! used by `raa-cal --` and the load generator.
+//! connection reader threads): its accept loop blocks in `accept`, and a
+//! housekeeping thread handles the drain wake-up and the periodic scrub.
+//! [`ServiceClient`] is the matching client used by `raa-cal --` and the
+//! load generator.
 
 use crate::calibrate::{fit_calibration, CalibrationConfig};
 use crate::error::PoisonedPoint;
@@ -42,14 +44,16 @@ use crate::record::ExperimentRecord;
 use crate::spec::ExperimentSpec;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How the poll loops sleep between checks (accept loop, drain waits).
+/// The housekeeping tick of [`serve`]: how often it checks the shutdown
+/// flag, the drain state and the scrub timer. Accepting connections never
+/// waits on it.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Read timeout on connection sockets, so reader threads notice a drain
@@ -720,51 +724,105 @@ impl SweepService {
 /// spawns one reader thread per connection, then drains — in-flight
 /// points finish and persist before this returns.
 ///
+/// The calling thread blocks in `accept` and does nothing else. A
+/// housekeeping thread watches `shutdown` and the drain state, wakes the
+/// blocked `accept` by connecting to the listener once draining, and runs
+/// the periodic scrub. Drain latency is at most one [`POLL_INTERVAL`]
+/// tick plus one [`CONN_READ_TIMEOUT`] for the reader threads.
+///
 /// # Errors
 ///
-/// Only listener configuration errors; per-connection failures are
+/// Listener errors (reading its address, a hard `accept` failure, or
+/// spawning the housekeeping thread). The service is drained and shut
+/// down before any error is returned; per-connection failures are
 /// contained in their threads.
 pub fn serve(
     listener: TcpListener,
     service: &SweepService,
-    shutdown: &Arc<AtomicBool>,
+    shutdown: &AtomicBool,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut connections = Vec::new();
+    let accepting = &AtomicBool::new(true);
+    let result = thread::scope(|scope| {
+        let wake = wake_address(listener.local_addr()?);
+        let housekeeper = thread::Builder::new()
+            .name("raa-sweepd-housekeeping".into())
+            .spawn_scoped(scope, move || {
+                housekeeping(service, shutdown, accepting, wake)
+            })?;
+        let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
+        let accepted = loop {
+            match listener.accept() {
+                // Once draining, the accepted stream is the housekeeper's
+                // wake-up (or a client arriving too late): drop it.
+                Ok(_) if service.is_draining() => break Ok(()),
+                Ok((stream, _peer)) => {
+                    connections.retain(|connection| !connection.is_finished());
+                    let conn_service = service.clone();
+                    connections.push(thread::spawn(move || {
+                        handle_connection(stream, conn_service)
+                    }));
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        // A hard accept error reaches here undrained: drain so the reader
+        // threads end, then stop the housekeeper.
+        service.drain();
+        accepting.store(false, Ordering::SeqCst);
+        let _ = housekeeper.join();
+        // The reader threads exit on their read timeout once draining.
+        for connection in connections {
+            let _ = connection.join();
+        }
+        accepted
+    });
+    // Stopping the workers joins them: every in-flight point has finished
+    // and persisted when this returns.
+    service.shutdown();
+    result
+}
+
+/// Where the housekeeper connects to wake a blocked `accept`: the
+/// listener's own address, with an unspecified IP (`0.0.0.0`, `[::]`)
+/// replaced by the loopback address of the same family.
+fn wake_address(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
+}
+
+/// The housekeeping loop of [`serve`], one [`POLL_INTERVAL`] tick at a
+/// time until the accept loop has stopped: turns a raised `shutdown`
+/// flag into a drain, wakes the blocked `accept` while draining, and runs
+/// the periodic scrub otherwise.
+fn housekeeping(
+    service: &SweepService,
+    shutdown: &AtomicBool,
+    accepting: &AtomicBool,
+    wake: SocketAddr,
+) {
     let mut last_scrub = Instant::now();
-    loop {
+    while accepting.load(Ordering::SeqCst) {
         if shutdown.load(Ordering::Relaxed) && !service.is_draining() {
             service.drain();
         }
         if service.is_draining() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_service = service.clone();
-                connections.push(thread::spawn(move || {
-                    handle_connection(stream, conn_service)
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        if let Some(interval) = service.inner.scrub_every {
+            // Retried every tick until the accept loop has stopped, so a
+            // wake-up accepted before the drain became visible to it (and
+            // served as an ordinary, empty connection) is not the last.
+            let _ = TcpStream::connect_timeout(&wake, POLL_INTERVAL);
+        } else if let Some(interval) = service.inner.scrub_every {
             if last_scrub.elapsed() >= interval {
                 let _ = service.scrub_pass();
                 last_scrub = Instant::now();
             }
         }
+        thread::sleep(POLL_INTERVAL);
     }
-    // Graceful drain: wait for the reader threads (they exit on their read
-    // timeout once draining), then stop the workers (joining them implies
-    // every in-flight point finished and persisted).
-    for connection in connections {
-        let _ = connection.join();
-    }
-    service.shutdown();
-    Ok(())
 }
 
 fn handle_connection(stream: TcpStream, service: SweepService) {
@@ -943,5 +1001,26 @@ impl ServiceClient {
     pub fn shutdown(&mut self) -> io::Result<Response> {
         let id = self.fresh_id("shutdown");
         self.request(&Request::Shutdown { id })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wake_address;
+
+    #[test]
+    fn wake_address_maps_unspecified_ip_to_loopback_of_the_same_family() {
+        for (local, wake) in [
+            ("0.0.0.0:7411", "127.0.0.1:7411"),
+            ("[::]:7411", "[::1]:7411"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+            ("[fe80::1]:80", "[fe80::1]:80"),
+        ] {
+            assert_eq!(
+                wake_address(local.parse().unwrap()),
+                wake.parse().unwrap(),
+                "{local}"
+            );
+        }
     }
 }

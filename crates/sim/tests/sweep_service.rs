@@ -1,7 +1,8 @@
 //! End-to-end coverage of the `raa-sweepd` service core and its TCP
 //! JSON-lines front end: job round trips, warm-cache queries, poisoned-
-//! point quarantine across jobs, drain/shed semantics, and malformed-
-//! request containment.
+//! point quarantine across jobs, drain/shed semantics, malformed-
+//! request containment, and the front end's timing: unpaced accepts,
+//! prompt return on drain, and the periodic scrub of an idle daemon.
 
 use raa_sim::jobs::{Request, Response};
 use raa_sim::service::{serve, PointResult};
@@ -13,9 +14,9 @@ use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct TempDir(PathBuf);
 
@@ -55,24 +56,38 @@ fn poison_spec() -> ExperimentSpec {
     spec
 }
 
-/// Starts a daemon on an ephemeral port; returns the address, the shutdown
-/// flag, the serve-thread handle, and the service.
-fn start_daemon(
-    cache_dir: Option<&std::path::Path>,
-) -> (
+/// A running daemon: its address, the shutdown flag, the serve-thread
+/// handle, and the service.
+type Daemon = (
     SocketAddr,
     Arc<AtomicBool>,
     std::thread::JoinHandle<()>,
     SweepService,
-) {
-    let service = SweepService::start(ServiceConfig {
-        cache_dir: cache_dir.map(Into::into),
+);
+
+/// Starts a daemon on an ephemeral port.
+fn start_daemon(cache_dir: Option<&std::path::Path>) -> Daemon {
+    start_daemon_with(
+        "127.0.0.1:0",
+        ServiceConfig {
+            cache_dir: cache_dir.map(Into::into),
+            ..daemon_config()
+        },
+    )
+}
+
+fn daemon_config() -> ServiceConfig {
+    ServiceConfig {
         workers: 2,
         job_timeout: Duration::from_secs(60),
         ..ServiceConfig::default()
-    })
-    .unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    }
+}
+
+/// [`start_daemon`] on any bind address and configuration.
+fn start_daemon_with(bind: &str, config: ServiceConfig) -> Daemon {
+    let service = SweepService::start(config).unwrap();
+    let listener = TcpListener::bind(bind).unwrap();
     let addr = listener.local_addr().unwrap();
     let shutdown = Arc::new(AtomicBool::new(false));
     let serve_service = service.clone();
@@ -80,6 +95,20 @@ fn start_daemon(
     let handle =
         std::thread::spawn(move || serve(listener, &serve_service, &serve_shutdown).unwrap());
     (addr, shutdown, handle, service)
+}
+
+/// Joins the serve thread, failing when it has not returned within
+/// `limit` (a blocked `accept` nobody wakes would hang here).
+fn join_within(handle: std::thread::JoinHandle<()>, limit: Duration) {
+    let deadline = Instant::now() + limit;
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "serve did not return within {limit:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().unwrap();
 }
 
 #[test]
@@ -429,4 +458,83 @@ fn factory_scenario_daemon_record_matches_local_cache_line() {
 
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+#[test]
+fn serve_returns_promptly_after_external_flag_with_no_connection_open() {
+    let (_addr, shutdown, handle, service) = start_daemon(None);
+    shutdown.store(true, Ordering::SeqCst);
+    join_within(handle, Duration::from_secs(2));
+    assert!(service.is_draining());
+}
+
+#[test]
+fn serve_returns_promptly_after_wire_shutdown() {
+    let (addr, _shutdown, handle, _service) = start_daemon(None);
+    let mut client = ServiceClient::connect(addr).unwrap();
+    assert!(matches!(
+        client.shutdown().unwrap(),
+        Response::Draining { .. }
+    ));
+    join_within(handle, Duration::from_secs(2));
+}
+
+/// The drain wake-up connects to loopback when the listener is bound to
+/// the unspecified address.
+#[test]
+fn serve_on_unspecified_address_returns_promptly_after_external_flag() {
+    let (addr, shutdown, handle, _service) = start_daemon_with("0.0.0.0:0", daemon_config());
+    assert!(addr.ip().is_unspecified());
+    let mut client = ServiceClient::connect(("127.0.0.1", addr.port())).unwrap();
+    assert!(matches!(client.status().unwrap(), Response::Status { .. }));
+    shutdown.store(true, Ordering::SeqCst);
+    join_within(handle, Duration::from_secs(2));
+}
+
+/// New connections are accepted as they arrive: a poll-paced accept loop
+/// makes each fresh connection wait out its sleep (40 × 25 ms ≥ 1 s).
+#[test]
+fn sequential_connections_are_not_paced_by_a_poll() {
+    let (addr, shutdown, handle, _service) = start_daemon(None);
+    let t0 = Instant::now();
+    for _ in 0..40 {
+        let mut client = ServiceClient::connect(addr).unwrap();
+        assert!(matches!(client.status().unwrap(), Response::Status { .. }));
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "40 connect+status round trips took {elapsed:?}"
+    );
+    shutdown.store(true, Ordering::SeqCst);
+    join_within(handle, Duration::from_secs(2));
+}
+
+/// The periodic scrub runs without any client traffic.
+#[test]
+fn periodic_scrub_quarantines_a_corrupt_entry_while_idle() {
+    let tmp = TempDir::new("idle-scrub");
+    fs::create_dir_all(&tmp.0).unwrap();
+    let planted = tmp.0.join("00c0ffee.json");
+    fs::write(&planted, "{\"name\":\"torn").unwrap();
+    let (_addr, shutdown, handle, _service) = start_daemon_with(
+        "127.0.0.1:0",
+        ServiceConfig {
+            cache_dir: Some(tmp.0.clone()),
+            scrub_interval: Some(Duration::from_millis(50)),
+            ..daemon_config()
+        },
+    );
+    let quarantined = tmp.0.join("quarantine").join("00c0ffee.json");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !quarantined.exists() {
+        assert!(
+            Instant::now() < deadline,
+            "no scrub pass quarantined the planted entry"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(!planted.exists());
+    shutdown.store(true, Ordering::SeqCst);
+    join_within(handle, Duration::from_secs(2));
 }
