@@ -621,11 +621,12 @@ impl Rule for EnvVar {
 }
 
 /// `panic-path`: the daemon-reachable `sim` modules must use the typed
-/// `OrchestratorError`/`McError` chain — a stray `unwrap()` in a worker
-/// turns a bad job into a poisoned thread.
+/// `OrchestratorError`/`RunError`/`McError` chain — a stray `unwrap()` in
+/// a worker turns a bad job into a poisoned thread.
 pub struct PanicPath;
 
 const PANIC_SCOPE: &[&str] = &[
+    "crates/sim/src/engine.rs",
     "crates/sim/src/service.rs",
     "crates/sim/src/orchestrator.rs",
     "crates/sim/src/lock.rs",

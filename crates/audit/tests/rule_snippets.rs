@@ -161,7 +161,7 @@ fn panic_path_scope_is_the_daemon_reachable_modules_only() {
     assert!(PanicPath.applies_to("crates/sim/src/record.rs"));
     assert!(PanicPath.applies_to("crates/sim/src/lock.rs"));
     assert!(PanicPath.applies_to("crates/sim/src/orchestrator.rs"));
-    assert!(!PanicPath.applies_to("crates/sim/src/engine.rs"));
+    assert!(PanicPath.applies_to("crates/sim/src/engine.rs"));
     assert!(!PanicPath.applies_to("crates/decode/src/unionfind.rs"));
 }
 

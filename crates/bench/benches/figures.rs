@@ -8,9 +8,7 @@ use raa::core::{fit, idle, logical, ArchContext, ErrorModelParams};
 use raa::factory::sweep_factory_se_rounds;
 use raa::shor::sensitivity::{sweep_alpha, sweep_qubit_cap, sweep_reaction};
 use raa::shor::{optimize, BeverlandModel, GidneyEkeraModel, SearchSpace, TransversalArchitecture};
-use raa::surface::{run_transversal, Basis, DecoderKind, NoiseModel, TransversalCnotExperiment};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use raa::sim::{run, ExperimentSpec, NoiseModel, Scenario, ShotBudget};
 
 fn bench_fig02(c: &mut Criterion) {
     c.bench_function("fig02_comparison_points", |b| {
@@ -25,19 +23,19 @@ fn bench_fig02(c: &mut Criterion) {
 
 fn bench_fig06a(c: &mut Criterion) {
     c.bench_function("fig06a_simulate_and_fit_point", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| {
-            let exp = TransversalCnotExperiment {
-                distance: 3,
+        let mut spec = ExperimentSpec::new(
+            "bench/fig06a",
+            Scenario::TransversalCnot {
                 patches: 2,
                 depth: 8,
                 cnots_per_round: 1.0,
-                basis: Basis::Z,
-                noise: NoiseModel::uniform(4e-3),
-            };
-            let r = run_transversal(&exp, DecoderKind::UnionFind, 1024, &mut rng);
-            r.error_per_cnot()
-        });
+            },
+            3,
+        );
+        spec.noise = NoiseModel::uniform(4e-3);
+        spec.shots = ShotBudget::Fixed(1024);
+        spec.seed = 3;
+        b.iter(|| run(&spec).error_per_cnot());
     });
     c.bench_function("fig06a_eq4_fit", |b| {
         let truth = ErrorModelParams::paper();

@@ -206,17 +206,10 @@ pub trait LayerAssignment {
     /// The layer index of detector `d`.
     fn layer_of(&self, d: u32) -> usize;
 
-    /// Validates the layering against a detector count, panicking on
-    /// inconsistency. The default accepts anything; implementations should
-    /// reject parameters that would silently misassign detectors.
-    fn validate(&self, num_detectors: usize) {
-        let _ = num_detectors;
-    }
-
-    /// Non-panicking form of [`LayerAssignment::validate`] used by
-    /// [`WindowedDecoder::try_new`]: returns the reason the layering cannot
-    /// cover `num_detectors` detectors, or `Ok(())`. The default accepts
-    /// anything.
+    /// Checks the layering against a detector count: returns the reason
+    /// the layering cannot cover `num_detectors` detectors, or `Ok(())`.
+    /// The default accepts anything; implementations should reject
+    /// parameters that would silently misassign detectors.
     ///
     /// # Errors
     ///
@@ -242,18 +235,10 @@ impl LayerAssignment for UniformLayers {
         d as usize / self.detectors_per_layer
     }
 
-    /// Rejects a detector count the uniform layering cannot represent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `detectors_per_layer` is zero or does not divide
+    /// Rejects a `detectors_per_layer` of zero or one that does not divide
     /// `num_detectors` — a trailing partial layer means the block size does
     /// not match the circuit's round structure, and every detector after
     /// the mismatch would land in the wrong layer.
-    fn validate(&self, num_detectors: usize) {
-        raa_stabsim::validate_uniform_layers(num_detectors, self.detectors_per_layer);
-    }
-
     fn check(&self, num_detectors: usize) -> Result<(), String> {
         if self.detectors_per_layer == 0 {
             return Err("detectors_per_layer must be at least 1".into());
@@ -424,11 +409,13 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
     /// # Panics
     ///
     /// Panics if `commit` is zero, or if `layers` rejects the graph's
-    /// detector count (see [`LayerAssignment::validate`] — for
+    /// detector count (see [`LayerAssignment::check`] — for
     /// [`UniformLayers`] that is a block size that does not divide it).
     pub fn new(graph: DecodingGraph, layers: L, commit: usize, buffer: usize) -> Self {
         assert!(commit >= 1, "must commit at least one layer per window");
-        layers.validate(graph.num_detectors());
+        if let Err(e) = layers.check(graph.num_detectors()) {
+            panic!("{e}");
+        }
         Self::assemble(graph, layers, commit, buffer)
     }
 

@@ -8,7 +8,9 @@
 //! is bit-identical for any thread count or batch size.
 
 use crate::record::ExperimentRecord;
-use crate::spec::{DecoderChoice, ExperimentSpec, SamplerChoice, Scenario, SweepGrid};
+use crate::spec::{
+    DecoderChoice, ExperimentSpec, Rounds, SamplerChoice, Scenario, SpecError, SweepGrid,
+};
 use raa_decode::mc::{self, CircuitSampler, DecodeStats, McError};
 use raa_decode::{
     BpUnionFindDecoder, Decoder, DecodingGraph, MatchingDecoder, UniformLayers, UnionFindDecoder,
@@ -21,6 +23,7 @@ use raa_surface::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt;
 use std::time::Instant;
 
 /// Stream tag for circuit construction randomness.
@@ -36,106 +39,116 @@ pub fn derive_seed(seed: u64, stream: u64) -> u64 {
 }
 
 /// Builds the noisy circuit a spec describes (deterministic in the spec).
+///
+/// # Panics
+///
+/// Panics if [`ExperimentSpec::validate`] rejects the spec.
 pub fn build_circuit(spec: &ExperimentSpec) -> Circuit {
+    if let Err(e) = spec.validate() {
+        // raa-audit: allow(panic-path): the documented panic of the infallible builder; the daemon's workers go through try_run, which returns the same error typed.
+        panic!("{e}");
+    }
+    build(spec).0
+}
+
+/// `(patches, cnots, se_rounds, cnots_per_round)`: the schedule facts a
+/// record reports about its circuit.
+type Shape = (usize, usize, usize, Option<f64>);
+
+/// Builds a validated spec's circuit together with its [`Shape`] — the one
+/// place the engine matches on the scenario.
+fn build(spec: &ExperimentSpec) -> (Circuit, Shape) {
+    let (distance, basis, noise) = (spec.distance, spec.basis, spec.noise);
+    // Random CNOT directions come from their own stream of the spec seed.
+    let transversal = |exp: TransversalCnotExperiment| {
+        let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, CIRCUIT_STREAM));
+        let shape = (
+            exp.patches,
+            exp.depth,
+            exp.expected_se_rounds(),
+            Some(exp.cnots_per_round),
+        );
+        (exp.build(&mut rng), shape)
+    };
+    let scheduled = |patches, schedule, rounds: Rounds| {
+        let exp = ScheduledCnotExperiment {
+            distance,
+            patches,
+            schedule,
+            rounds: rounds.resolve(distance),
+            basis,
+            noise,
+        };
+        (exp.build(), (patches, exp.cnots(), exp.rounds, None))
+    };
     match spec.scenario {
-        Scenario::Memory { rounds } => MemoryExperiment {
-            distance: spec.distance,
-            rounds: rounds.resolve(spec.distance),
-            basis: spec.basis,
-            noise: spec.noise,
+        Scenario::Memory { rounds } => {
+            let rounds = rounds.resolve(distance);
+            let exp = MemoryExperiment {
+                distance,
+                rounds,
+                basis,
+                noise,
+            };
+            (exp.build(), (1, 0, rounds, None))
         }
-        .build(),
         Scenario::TransversalCnot {
             patches,
             depth,
             cnots_per_round,
-        } => {
-            let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, CIRCUIT_STREAM));
-            TransversalCnotExperiment {
-                distance: spec.distance,
-                patches,
-                depth,
-                cnots_per_round,
-                basis: spec.basis,
-                noise: spec.noise,
-            }
-            .build(&mut rng)
+        } => transversal(TransversalCnotExperiment {
+            distance,
+            patches,
+            depth,
+            cnots_per_round,
+            basis,
+            noise,
+        }),
+        Scenario::GhzFanout { targets } => {
+            let exp = GhzFanoutExperiment {
+                distance,
+                targets,
+                noise,
+            };
+            (
+                exp.build(),
+                (exp.patches(), exp.cnots(), exp.se_rounds(), None),
+            )
         }
-        Scenario::GhzFanout { targets } => GhzFanoutExperiment {
-            distance: spec.distance,
-            targets,
-            noise: spec.noise,
-        }
-        .build(),
-        Scenario::DeepCnot { .. } => {
-            let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, CIRCUIT_STREAM));
-            deep_cnot_experiment(spec).build(&mut rng)
-        }
-        Scenario::MagicFactory { .. } | Scenario::Gadget { .. } => {
-            scheduled_experiment(spec).build()
-        }
-        Scenario::Code832Memory { rounds } => {
-            assert_eq!(
-                spec.distance, 2,
-                "code832_memory is a fixed [[8,3,2]] block: the spec distance must be 2"
-            );
-            Code832MemoryExperiment {
-                rounds: rounds.resolve(spec.distance),
-                noise: spec.noise,
-            }
-            .build()
-        }
-    }
-}
-
-/// The [`ScheduledCnotExperiment`] behind a factory or gadget spec: the
-/// protocol's (or gadget's) cycled CNOT layer schedule, one layer per SE
-/// round, at the spec's distance, basis and noise.
-fn scheduled_experiment(spec: &ExperimentSpec) -> ScheduledCnotExperiment {
-    let (patches, schedule, rounds) = match spec.scenario {
+        Scenario::DeepCnot {
+            patches,
+            rounds,
+            cnots_per_round,
+        } => transversal(TransversalCnotExperiment {
+            distance,
+            patches,
+            depth: deep_cnot_depth(rounds.resolve(distance), cnots_per_round),
+            cnots_per_round,
+            basis,
+            noise,
+        }),
         Scenario::MagicFactory { protocol, rounds } => {
-            (protocol.patches(), protocol.schedule(), rounds)
+            scheduled(protocol.patches(), protocol.schedule(), rounds)
         }
         Scenario::Gadget {
             kind,
             width,
             rounds,
-        } => (kind.patches(width), kind.schedule(width), rounds),
-        _ => unreachable!("only called for factory/gadget specs"),
-    };
-    ScheduledCnotExperiment {
-        distance: spec.distance,
-        patches,
-        schedule,
-        rounds: rounds.resolve(spec.distance),
-        basis: spec.basis,
-        noise: spec.noise,
+        } => scheduled(kind.patches(width), kind.schedule(width), rounds),
+        Scenario::Code832Memory { rounds } => {
+            let rounds = rounds.resolve(distance);
+            let exp = Code832MemoryExperiment { rounds, noise };
+            (exp.build(), (1, 0, rounds, None))
+        }
     }
 }
 
-/// The [`TransversalCnotExperiment`] behind a [`Scenario::DeepCnot`] spec:
-/// the round count is the knob, so the CNOT depth is derived as the largest
-/// depth whose schedule (one SE round after initialization plus
-/// `⌈depth / x⌉` more) emits **at most** `rounds` SE rounds — exactly
-/// `rounds` whenever `(rounds − 1) · x` is an integer, never more.
-///
-/// # Panics
-///
-/// Panics if the resolved round count is below 2 (no room for a gate).
-fn deep_cnot_experiment(spec: &ExperimentSpec) -> TransversalCnotExperiment {
-    let Scenario::DeepCnot {
-        patches,
-        rounds,
-        cnots_per_round,
-    } = spec.scenario
-    else {
-        unreachable!("only called for deep-CNOT specs")
-    };
-    let total_rounds = rounds.resolve(spec.distance);
-    assert!(
-        total_rounds >= 2,
-        "deep-CNOT needs at least two SE rounds, got {total_rounds}"
-    );
+/// The CNOT depth behind a [`Scenario::DeepCnot`] spec: the round count is
+/// the knob, so the depth is the largest one whose schedule (one SE round
+/// after initialization plus `⌈depth / x⌉` more) emits **at most**
+/// `total_rounds` SE rounds — exactly `total_rounds` whenever
+/// `(total_rounds − 1) · x` is an integer, never more.
+fn deep_cnot_depth(total_rounds: usize, cnots_per_round: f64) -> usize {
     let rounds_for = |depth: usize| 1 + (depth as f64 / cnots_per_round).ceil() as usize;
     // Start one above the float floor (guarding rounding dirt in the
     // product), then step down until the schedule fits the round budget.
@@ -143,17 +156,11 @@ fn deep_cnot_experiment(spec: &ExperimentSpec) -> TransversalCnotExperiment {
     while depth > 1 && rounds_for(depth) > total_rounds {
         depth -= 1;
     }
-    TransversalCnotExperiment {
-        distance: spec.distance,
-        patches,
-        depth,
-        cnots_per_round,
-        basis: spec.basis,
-        noise: spec.noise,
-    }
+    depth
 }
 
-/// Runs the spec's shot budget through its chosen sampling path. The DEM
+/// Runs the spec's shot budget through its chosen sampling path and
+/// returns the statistics with the sampling + decoding wall time. The DEM
 /// path compiles the engine's already-extracted `dem` (no second
 /// extraction); the circuit path re-simulates gate by gate.
 fn decode_budget<D: Decoder + Sync>(
@@ -162,8 +169,10 @@ fn decode_budget<D: Decoder + Sync>(
     decoder: &D,
     spec: &ExperimentSpec,
     seed: u64,
-) -> Result<DecodeStats, McError> {
-    match spec.sampler {
+) -> Result<(DecodeStats, f64), McError> {
+    // raa-audit: allow(nondet-time): decode_seconds lands in RunTiming, not in the ExperimentRecord.
+    let start = Instant::now();
+    let stats = match spec.sampler {
         SamplerChoice::Dem => {
             let sampler = DemSampler::new(dem);
             mc::logical_error_rate_sampled(&sampler, decoder, spec.shots, seed, &spec.mc)
@@ -172,7 +181,8 @@ fn decode_budget<D: Decoder + Sync>(
             let sampler = CircuitSampler::new(circuit);
             mc::logical_error_rate_sampled(&sampler, decoder, spec.shots, seed, &spec.mc)
         }
-    }
+    }?;
+    Ok((stats, start.elapsed().as_secs_f64()))
 }
 
 /// Wall-clock split of one engine run. Never part of the record (records
@@ -187,19 +197,47 @@ pub struct RunTiming {
     pub decode_seconds: f64,
 }
 
-/// Runs one spec end to end: build → DEM extraction → graphlike
-/// decomposition → decoder construction → parallel Monte-Carlo decoding →
-/// result record.
+/// Why [`try_run`] produced no record.
+#[derive(Debug)]
+pub enum RunError {
+    /// The spec is invalid ([`ExperimentSpec::validate`], or a streaming
+    /// window that covers the whole circuit): a property of the point.
+    Spec(SpecError),
+    /// The decode thread pool could not be built: an infrastructure fault,
+    /// not a property of the point.
+    Pool(McError),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Spec(e) => e.fmt(f),
+            RunError::Pool(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<SpecError> for RunError {
+    fn from(e: SpecError) -> Self {
+        RunError::Spec(e)
+    }
+}
+
+impl From<McError> for RunError {
+    fn from(e: McError) -> Self {
+        RunError::Pool(e)
+    }
+}
+
+/// Runs one spec end to end: validation → build → DEM extraction →
+/// graphlike decomposition → decoder construction → parallel Monte-Carlo
+/// decoding → result record.
 ///
 /// # Panics
 ///
-/// Panics if [`DecoderChoice::Windowed`] is requested for a scenario
-/// without uniform time layering (anything but memory or deep-CNOT), if
-/// `streaming` is set without a windowed decoder, without the DEM sampler,
-/// on an unlayered scenario, or with a degenerate window geometry (zero
-/// buffer, or a window covering the whole circuit — rejected via
-/// [`raa_decode::WindowError`]), or if the decode thread pool cannot be
-/// built (see [`try_run`] for the fallible form).
+/// Panics with the error's message wherever [`try_run`] returns an error.
 pub fn run(spec: &ExperimentSpec) -> ExperimentRecord {
     run_timed(spec).0
 }
@@ -210,149 +248,76 @@ pub fn run(spec: &ExperimentSpec) -> ExperimentRecord {
 ///
 /// As [`run`]; see [`try_run_timed`] for the fallible form.
 pub fn run_timed(spec: &ExperimentSpec) -> (ExperimentRecord, RunTiming) {
+    // raa-audit: allow(panic-path): the documented panic of the infallible entry point; the daemon's workers call try_run and get the error typed.
     try_run_timed(spec).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible form of [`run`]: infrastructure failures (the decode thread
-/// pool failing to build) surface as [`McError`] instead of a panic.
-/// Spec-shape violations (windowed/streaming constraints) still panic —
-/// they are caller bugs, not runtime conditions.
+/// Fallible form of [`run`].
 ///
 /// # Errors
 ///
-/// Returns [`McError::PoolBuild`] when the spec's [`raa_decode::McConfig`]
+/// [`RunError::Spec`] when the spec is invalid (checked before anything is
+/// built), [`RunError::Pool`] when the spec's [`raa_decode::McConfig`]
 /// requests a dedicated thread pool and building it fails.
-pub fn try_run(spec: &ExperimentSpec) -> Result<ExperimentRecord, McError> {
+pub fn try_run(spec: &ExperimentSpec) -> Result<ExperimentRecord, RunError> {
     Ok(try_run_timed(spec)?.0)
 }
 
-/// Fallible form of [`run_timed`]; see [`try_run`] for the error contract.
+/// Fallible form of [`run_timed`].
 ///
 /// # Errors
 ///
-/// Returns [`McError::PoolBuild`] when the spec's [`raa_decode::McConfig`]
-/// requests a dedicated thread pool and building it fails.
-pub fn try_run_timed(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTiming), McError> {
+/// As [`try_run`].
+pub fn try_run_timed(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTiming), RunError> {
+    spec.validate()?;
     // raa-audit: allow(nondet-time): the wall-clock split is reported beside the record in RunTiming and never enters a record, fingerprint, or memo.
     let start = Instant::now();
-    let circuit = build_circuit(spec);
+    let (circuit, (patches, cnots, se_rounds, cnots_per_round)) = build(spec);
     let dem = DetectorErrorModel::from_circuit(&circuit);
     let (graph, arbitrary) = DecodingGraph::from_dem_decomposed(&dem);
-    let decode_seed = derive_seed(spec.seed, DECODE_STREAM);
-    assert!(
-        !spec.streaming || matches!(spec.decoder, DecoderChoice::Windowed { .. }),
-        "streaming decoding requires the windowed decoder"
-    );
-    let timed = |decode: &dyn Fn() -> Result<DecodeStats, McError>| {
-        // raa-audit: allow(nondet-time): decode_seconds lands in RunTiming, not in the ExperimentRecord.
-        let t0 = Instant::now();
-        let stats = decode()?;
-        Ok::<_, McError>((stats, t0.elapsed().as_secs_f64()))
-    };
+    let seed = derive_seed(spec.seed, DECODE_STREAM);
     let (stats, decode_seconds) = match spec.decoder {
         DecoderChoice::UnionFind => {
-            let decoder = UnionFindDecoder::new(graph);
-            timed(&|| decode_budget(&circuit, &dem, &decoder, spec, decode_seed))
+            decode_budget(&circuit, &dem, &UnionFindDecoder::new(graph), spec, seed)?
         }
         DecoderChoice::Matching => {
-            let decoder = MatchingDecoder::new(graph);
-            timed(&|| decode_budget(&circuit, &dem, &decoder, spec, decode_seed))
+            decode_budget(&circuit, &dem, &MatchingDecoder::new(graph), spec, seed)?
         }
         DecoderChoice::BpUnionFind => {
-            let decoder = BpUnionFindDecoder::new(&dem);
-            timed(&|| decode_budget(&circuit, &dem, &decoder, spec, decode_seed))
+            decode_budget(&circuit, &dem, &BpUnionFindDecoder::new(&dem), spec, seed)?
         }
         DecoderChoice::Windowed { commit, buffer } => {
-            let detectors_per_layer = spec.scenario.detectors_per_layer(spec.distance).expect(
-                "windowed decoding requires a uniformly layered scenario \
-                 (memory, deep-CNOT, factory/gadget skeleton or code832)",
-            );
+            let detectors_per_layer = spec
+                .scenario
+                .detectors_per_layer(spec.distance)
+                .ok_or(SpecError::UNLAYERED_WINDOW)?;
             let layers = UniformLayers {
                 detectors_per_layer,
             };
             if spec.streaming {
-                assert!(
-                    matches!(spec.sampler, SamplerChoice::Dem),
-                    "streaming decoding samples the time-sliced DEM; set the DEM sampler"
-                );
                 // Streaming promises O(window) resident state, which a
-                // degenerate geometry (no advance, no look-ahead, or a
-                // window that swallows the circuit) silently breaks — the
+                // window that swallows the circuit silently breaks — the
                 // validating constructor turns that into a typed error.
                 let decoder = WindowedDecoder::try_new(graph, layers, commit, buffer)
-                    .unwrap_or_else(|e| panic!("streaming windowed decode rejected: {e}"));
+                    .map_err(|e| SpecError::Window(true, e))?;
                 let sampler = StreamingDemSampler::new(&dem, detectors_per_layer);
-                timed(&|| {
-                    mc::logical_error_rate_streamed(
-                        &sampler,
-                        &decoder,
-                        spec.shots,
-                        decode_seed,
-                        &spec.mc,
-                    )
-                })
+                // raa-audit: allow(nondet-time): decode_seconds lands in RunTiming, not in the ExperimentRecord.
+                let t0 = Instant::now();
+                let stats = mc::logical_error_rate_streamed(
+                    &sampler, &decoder, spec.shots, seed, &spec.mc,
+                )?;
+                (stats, t0.elapsed().as_secs_f64())
             } else {
                 // The batch path stays permissive: convergence sweeps
                 // legitimately drive buffer 0 and global-window points.
                 let decoder = WindowedDecoder::new(graph, layers, commit, buffer);
-                timed(&|| decode_budget(&circuit, &dem, &decoder, spec, decode_seed))
+                decode_budget(&circuit, &dem, &decoder, spec, seed)?
             }
         }
-    }?;
+    };
     let timing = RunTiming {
         setup_seconds: start.elapsed().as_secs_f64() - decode_seconds,
         decode_seconds,
-    };
-    let (patches, cnots, se_rounds, cnots_per_round) = match spec.scenario {
-        Scenario::Memory { rounds } => (1, 0, rounds.resolve(spec.distance), None),
-        Scenario::TransversalCnot {
-            patches,
-            depth,
-            cnots_per_round,
-        } => {
-            // The builder owns the round schedule; ask it rather than
-            // re-deriving the formula here.
-            let exp = TransversalCnotExperiment {
-                distance: spec.distance,
-                patches,
-                depth,
-                cnots_per_round,
-                basis: spec.basis,
-                noise: spec.noise,
-            };
-            (
-                patches,
-                depth,
-                exp.expected_se_rounds(),
-                Some(cnots_per_round),
-            )
-        }
-        Scenario::GhzFanout { targets } => {
-            let exp = GhzFanoutExperiment {
-                distance: spec.distance,
-                targets,
-                noise: spec.noise,
-            };
-            (exp.patches(), exp.cnots(), exp.se_rounds(), None)
-        }
-        Scenario::DeepCnot {
-            patches,
-            cnots_per_round,
-            ..
-        } => {
-            let exp = deep_cnot_experiment(spec);
-            (
-                patches,
-                exp.depth,
-                exp.expected_se_rounds(),
-                Some(cnots_per_round),
-            )
-        }
-        Scenario::MagicFactory { .. } | Scenario::Gadget { .. } => {
-            let exp = scheduled_experiment(spec);
-            (exp.patches, exp.cnots(), exp.rounds, None)
-        }
-        Scenario::Code832Memory { rounds } => (1, 0, rounds.resolve(spec.distance), None),
     };
     let record = ExperimentRecord {
         name: spec.name.clone(),
@@ -448,7 +413,8 @@ mod tests {
         assert_eq!(r.se_rounds, 3);
         assert_eq!(r.patches, 2);
         assert_eq!(r.cnots_per_round, Some(2.0));
-        assert!(r.error_per_cnot().is_some());
+        assert!(r.logical_error_rate() < 0.2);
+        assert!(r.error_per_cnot().unwrap() <= r.logical_error_rate());
     }
 
     #[test]
@@ -773,6 +739,121 @@ mod tests {
         spec.sampler = SamplerChoice::Circuit;
         spec.streaming = true;
         run(&spec);
+    }
+
+    /// `memory_spec` at 64 shots with one change applied.
+    fn with(change: impl FnOnce(&mut ExperimentSpec)) -> ExperimentSpec {
+        let mut spec = memory_spec();
+        spec.shots = ShotBudget::Fixed(64);
+        change(&mut spec);
+        spec
+    }
+
+    fn windowed(commit: usize, buffer: usize) -> DecoderChoice {
+        DecoderChoice::Windowed { commit, buffer }
+    }
+
+    /// Asserts that `memory_spec` with `change` applied fails validation
+    /// with exactly `error`, and that neither `try_run` nor `run` runs it.
+    fn assert_rejected(error: SpecError, change: impl FnOnce(&mut ExperimentSpec)) {
+        let spec = with(change);
+        assert_eq!(spec.validate(), Err(error.clone()));
+        assert!(matches!(try_run(&spec), Err(RunError::Spec(e)) if e == error));
+        let outcome = std::panic::catch_unwind(|| run(&spec));
+        assert!(outcome.is_err(), "{error}: an invalid spec ran");
+    }
+
+    #[test]
+    fn invalid_specs_fail_validation_and_never_run() {
+        use raa_decode::WindowError::{WindowExceedsCircuit, ZeroCommit};
+        use SpecError as E;
+        let cnot = |patches, x| Scenario::TransversalCnot {
+            patches,
+            depth: 2,
+            cnots_per_round: x,
+        };
+        // One spec per graph-free check, with the exact error it gives.
+        let (odd, positive) = ("odd and at least 3", "positive and finite");
+        assert_rejected(E::OutOfRange("distance", 4.0, odd), |s| s.distance = 4);
+        assert_rejected(E::TooSmall("patches", 1, 2), |s| s.scenario = cnot(1, 1.0));
+        assert_rejected(E::TooSmall("SE rounds", 0, 1), |s| {
+            s.scenario = Scenario::Memory {
+                rounds: Rounds::Fixed(0),
+            }
+        });
+        let x = E::OutOfRange("cnots_per_round", 0.0, positive);
+        assert_rejected(x, |s| s.scenario = cnot(2, 0.0));
+        let noise = E::OutOfRange("p_meas", 1.5, "in [0, 1]");
+        assert_rejected(noise, |s| s.noise.p_meas = 1.5);
+        assert_rejected(E::Window(false, ZeroCommit), |s| s.decoder = windowed(0, 2));
+        assert_rejected(E::UNLAYERED_WINDOW, |s| {
+            (s.scenario, s.decoder) = (Scenario::GhzFanout { targets: 2 }, windowed(2, 2))
+        });
+        let message = "streaming decoding requires the windowed decoder";
+        assert_rejected(E::Unsupported(message), |s| s.streaming = true);
+        let message = "streaming decoding samples the time-sliced DEM; set the DEM sampler";
+        assert_rejected(E::Unsupported(message), |s| {
+            (s.decoder, s.streaming, s.sampler) = (windowed(2, 2), true, SamplerChoice::Circuit)
+        });
+        // The graph-dependent variant: a streaming window only proves too
+        // wide once the circuit is built.
+        let global = with(|s| (s.decoder, s.streaming) = (windowed(2, 10_000), true));
+        assert_eq!(global.validate(), Ok(()));
+        assert!(matches!(
+            try_run(&global),
+            Err(RunError::Spec(E::Window(true, WindowExceedsCircuit { .. })))
+        ));
+        // The grid-axis variant, through the grid's own validator.
+        let grid = SweepGrid::new("g", memory_spec().scenario).with_distances(Vec::new());
+        assert_eq!(grid.validate(), Err(E::Axis("need at least one distance")));
+        assert!(std::panic::catch_unwind(|| grid.specs()).is_err());
+    }
+
+    #[test]
+    fn boundary_specs_validate_and_run() {
+        let rounds = Rounds::Fixed;
+        let deep = Scenario::DeepCnot {
+            patches: 2,
+            rounds: rounds(2),
+            cnots_per_round: 1.0,
+        };
+        let code832 = Scenario::Code832Memory { rounds: rounds(2) };
+        for spec in [
+            with(|_| {}),
+            with(|s| s.scenario = Scenario::Memory { rounds: rounds(1) }),
+            with(|s| s.scenario = deep),
+            with(|s| (s.scenario, s.distance) = (code832, 2)),
+            with(|s| s.decoder = windowed(1, 0)),
+        ] {
+            assert_eq!(spec.validate(), Ok(()), "{:?}", spec.scenario);
+            assert_eq!(run(&spec).shots, 64, "{:?}", spec.scenario);
+        }
+    }
+
+    #[test]
+    fn fewer_se_rounds_per_cnot_is_cheaper_per_gate() {
+        // The paper's core point (§II.4): O(1) SE rounds per transversal gate
+        // suffice, and *extra* rounds per gate add noise volume. At fixed
+        // depth, the x = 4 schedule (few rounds) must not be more error-prone
+        // per gate than the x = 0.5 schedule (two rounds per gate).
+        let rate = |x: f64| {
+            let spec = with(|s| {
+                s.scenario = Scenario::TransversalCnot {
+                    patches: 2,
+                    depth: 8,
+                    cnots_per_round: x,
+                };
+                s.noise = raa_surface::NoiseModel::uniform(4e-3);
+                (s.shots, s.seed) = (ShotBudget::Fixed(6_000), 4);
+            });
+            run(&spec).logical_error_rate()
+        };
+        let slow = rate(0.5); // 2 SE rounds per CNOT: 17 rounds total
+        let fast = rate(4.0); // 4 CNOTs per SE round: 3 rounds total
+        assert!(
+            fast < slow,
+            "extra SE rounds should cost more per gate: slow {slow}, fast {fast}"
+        );
     }
 
     #[test]

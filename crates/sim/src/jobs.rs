@@ -41,8 +41,8 @@
 use crate::calibrate::{Calibration, CalibrationConfig};
 use crate::error::PoisonedPoint;
 use crate::json::{
-    num, obj, req_arr, req_bool, req_f64, req_field, req_opt_f64, req_str, req_u64_str, req_usize,
-    s, unum,
+    num, obj, req_arr, req_bool, req_f64, req_field, req_opt_f64, req_str, req_u32, req_u64_str,
+    req_usize, s, unum,
 };
 use crate::orchestrator::{budget_fingerprint, rounds_fingerprint, ScrubReport};
 use crate::record::ExperimentRecord;
@@ -222,7 +222,7 @@ pub fn spec_from_json(v: &Json) -> Result<ExperimentSpec, String> {
         },
         other => return Err(format!("unknown scenario {other:?}")),
     };
-    let distance = req_usize(v, "distance")? as u32;
+    let distance = req_u32(v, "distance")?;
     let mut spec = ExperimentSpec::new(req_str(v, "name")?, scenario, distance);
     spec.basis = basis_from_label(&req_str(v, "basis")?)?;
     spec.noise = NoiseModel {
@@ -280,9 +280,9 @@ fn config_from_json(v: &Json) -> Result<CalibrationConfig, String> {
             .iter()
             .map(|item| {
                 item.as_f64()
-                    .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-                    .map(|x| x as u32)
-                    .ok_or_else(|| format!("field {key:?} must hold non-negative integers"))
+                    .filter(|x| *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53))
+                    .and_then(|x| u32::try_from(x as u64).ok())
+                    .ok_or_else(|| format!("field {key:?} must hold integers in the u32 range"))
             })
             .collect()
     };
@@ -1038,6 +1038,39 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
+    }
+
+    #[test]
+    fn wire_rejects_distances_outside_u32() {
+        // 2^32 + 3 must not truncate to distance 3 and run a point nobody
+        // asked for.
+        let memory = Scenario::Memory {
+            rounds: Rounds::Fixed(2),
+        };
+        let specs = vec![ExperimentSpec::new("jobs/d", memory, 3)];
+        let line = Request::Sweep {
+            id: "j".into(),
+            specs,
+        }
+        .to_line();
+        let wide = line.replace("\"distance\":3", "\"distance\":4294967299");
+        assert_ne!(wide, line);
+        let err = Request::from_line(&wide).unwrap_err();
+        assert!(err.contains("\"distance\""), "{err}");
+
+        let config = CalibrationConfig {
+            distances: vec![3],
+            ..CalibrationConfig::default()
+        };
+        let line = Request::Calibrate {
+            id: "c".into(),
+            config,
+        }
+        .to_line();
+        let wide = line.replace("\"distances\":[3]", "\"distances\":[4294967299]");
+        assert_ne!(wide, line);
+        let err = Request::from_line(&wide).unwrap_err();
+        assert!(err.contains("\"distances\""), "{err}");
     }
 
     #[test]

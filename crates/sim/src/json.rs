@@ -372,6 +372,11 @@ pub(crate) fn req_usize(obj: &Json, key: &str) -> Result<usize, String> {
     Ok(v as usize)
 }
 
+pub(crate) fn req_u32(obj: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(req_usize(obj, key)?)
+        .map_err(|_| format!("field {key:?} is out of range for u32"))
+}
+
 pub(crate) fn req_bool(obj: &Json, key: &str) -> Result<bool, String> {
     req_field(obj, key)?
         .as_bool()

@@ -85,7 +85,8 @@ pub use orchestrator::{
 pub use record::{parse_json_lines, to_json_lines, ExperimentRecord};
 pub use service::{ServiceClient, ServiceConfig, SweepService};
 pub use spec::{
-    DecoderChoice, ExperimentSpec, Rounds, SamplerChoice, Scenario, ShotBudget, SweepGrid,
+    DecoderChoice, ExperimentSpec, Rounds, SamplerChoice, Scenario, ShotBudget, SpecError,
+    SweepGrid,
 };
 
 // Convenience re-exports so spec literals need no extra imports.

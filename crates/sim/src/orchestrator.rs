@@ -23,11 +23,13 @@
 //! The orchestrator is the substrate of the `raa-sweepd` service, so every
 //! per-point failure class is contained instead of taking down the run:
 //!
-//! - **Panic isolation** — each point's engine run executes under
-//!   `catch_unwind`; with [`Orchestrator::with_panic_isolation`] a
-//!   panicking point becomes a [`PoisonedPoint`] entry in the report while
-//!   every other point completes (without isolation it fails the job as a
-//!   typed [`OrchestratorError::Poisoned`] — never the process).
+//! - **Panic isolation** — an invalid spec is rejected by
+//!   [`ExperimentSpec::validate`] before the engine runs, and each point's
+//!   engine run executes under `catch_unwind` as the backstop; with
+//!   [`Orchestrator::with_panic_isolation`] a rejected or panicking point
+//!   becomes a [`PoisonedPoint`] entry in the report while every other
+//!   point completes (without isolation it fails the job as a typed
+//!   [`OrchestratorError::Poisoned`] — never the process).
 //! - **Single-writer lock discipline** — cold points take an advisory
 //!   per-entry file lock (see [`crate::lock`]) *before* sampling, so
 //!   concurrent orchestrators sharing a cache dir serialize on each entry:
@@ -67,12 +69,11 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-use crate::engine;
+use crate::engine::{self, RunError};
 use crate::error::{OrchestratorError, PoisonedPoint};
 use crate::lock::{retry_io, Backoff, FileLock, LockError, LockOptions};
 use crate::record::ExperimentRecord;
-use crate::spec::{DecoderChoice, ExperimentSpec, Rounds, Scenario, ShotBudget, SweepGrid};
-use raa_decode::WindowError;
+use crate::spec::{ExperimentSpec, Rounds, Scenario, ShotBudget, SweepGrid};
 use rayon::prelude::*;
 use std::cell::Cell;
 use std::fs;
@@ -625,7 +626,8 @@ pub struct SweepReport {
     /// Monte-Carlo shots actually sampled this run (0 on a fully warm
     /// cache — the property the CI smoke pins).
     pub fresh_shots: usize,
-    /// Points whose engine run panicked (panic isolation only).
+    /// Points whose spec was invalid or whose engine run panicked (panic
+    /// isolation only).
     pub poisoned: Vec<PoisonedPoint>,
     /// Corrupt cache entries found and overwritten by recomputation.
     pub corrupt_replaced: usize,
@@ -650,7 +652,8 @@ pub enum PointOutcome {
         /// Whether a corrupt cache entry was found and overwritten.
         replaced_corrupt: bool,
     },
-    /// The engine run panicked; the panic was contained.
+    /// The spec was invalid or the engine run panicked; either way the
+    /// point was contained.
     Poisoned(PoisonedPoint),
 }
 
@@ -766,46 +769,40 @@ impl Orchestrator {
         self.run_specs(&grid.specs())
     }
 
-    /// Runs one spec through the full per-point pipeline: cache lookup →
-    /// advisory entry lock → double-checked lookup → engine run under
-    /// `catch_unwind` → retried atomic persist. `single_threaded` forces
-    /// the point's inner Monte-Carlo to one thread (what the point-parallel
-    /// and service worker pools do; the record is identical either way).
+    /// Runs one spec through the full per-point pipeline: spec validation
+    /// → cache lookup → advisory entry lock → double-checked lookup →
+    /// engine run under `catch_unwind` → retried atomic persist.
+    /// `single_threaded` forces the point's inner Monte-Carlo to one thread
+    /// (what the point-parallel and service worker pools do; the record is
+    /// identical either way).
     ///
     /// # Errors
     ///
     /// Cache I/O past the retry budget errors, as does the engine failing
     /// to build its decode thread pool (surfaced as
     /// [`OrchestratorError::PoolBuild`] via [`engine::try_run`] — a
-    /// configuration fault, not a property of the point). A panicking
-    /// engine run is an `Ok(PointOutcome::Poisoned(..))`, and lock-wait
-    /// exhaustion falls back to (correct, duplicated) sampling.
+    /// configuration fault, not a property of the point). An invalid spec
+    /// or a panicking engine run is an `Ok(PointOutcome::Poisoned(..))`,
+    /// and lock-wait exhaustion falls back to (correct, duplicated)
+    /// sampling.
     pub fn run_point(
         &self,
         index: usize,
         spec: &ExperimentSpec,
         single_threaded: bool,
     ) -> Result<PointOutcome, OrchestratorError> {
-        // Pre-flight the graph-free part of the engine's streaming-window
-        // validation (the rest needs the built circuit): a degenerate
-        // geometry poisons the point here, before it takes an entry lock
-        // or burns a worker on an engine panic.
-        if spec.streaming {
-            if let DecoderChoice::Windowed { commit, buffer } = spec.decoder {
-                let degenerate = match (commit, buffer) {
-                    (0, _) => Some(WindowError::ZeroCommit),
-                    (_, 0) => Some(WindowError::ZeroBuffer),
-                    _ => None,
-                };
-                if let Some(e) = degenerate {
-                    return Ok(PointOutcome::Poisoned(PoisonedPoint {
-                        index,
-                        name: spec.name.clone(),
-                        key: spec_cache_key(spec),
-                        message: format!("streaming windowed decode rejected: {e}"),
-                    }));
-                }
-            }
+        let poisoned = |message: String| {
+            PointOutcome::Poisoned(PoisonedPoint {
+                index,
+                name: spec.name.clone(),
+                key: spec_cache_key(spec),
+                message,
+            })
+        };
+        // An invalid spec poisons the point here, before the cache lookup
+        // and the entry lock.
+        if let Err(e) = spec.validate() {
+            return Ok(poisoned(e.to_string()));
         }
         let mut replaced_corrupt = false;
         let mut lock = None;
@@ -850,17 +847,14 @@ impl Orchestrator {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run_engine));
         CONTAINING_PANICS.with(|c| c.set(false));
         let record = match result {
-            // A typed engine error (decode pool build) is infrastructure,
-            // not a property of the point: fail the job, don't poison.
-            Ok(run) => run?,
-            Err(payload) => {
-                return Ok(PointOutcome::Poisoned(PoisonedPoint {
-                    index,
-                    name: spec.name.clone(),
-                    key: spec_cache_key(spec),
-                    message: panic_message(payload),
-                }))
-            }
+            Ok(Ok(record)) => record,
+            // The one graph-dependent spec check (a streaming window that
+            // covers the whole circuit) is a property of the point.
+            Ok(Err(RunError::Spec(e))) => return Ok(poisoned(e.to_string())),
+            // A decode pool that cannot be built is infrastructure, not a
+            // property of the point: fail the job, don't poison.
+            Ok(Err(RunError::Pool(e))) => return Err(e.into()),
+            Err(payload) => return Ok(poisoned(panic_message(payload))),
         };
 
         if let Some(cache) = &self.cache {
@@ -1193,8 +1187,8 @@ mod tests {
         assert!(report.poisoned.is_empty());
     }
 
-    /// A spec whose engine run panics (zero SE rounds trip the
-    /// `Rounds::resolve` assertion) — the fault-injection workhorse.
+    /// A spec the validator poisons (zero SE rounds) — the fault-injection
+    /// workhorse.
     fn poison_spec() -> ExperimentSpec {
         let mut spec = small_grid().specs().remove(0);
         spec.name = "orch/poison".into();
@@ -1267,6 +1261,33 @@ mod tests {
         let plain = run_sweep(&grid);
         for (a, b) in plain.iter().zip(&report.records) {
             assert_eq!(a.to_json(), b.to_json());
+        }
+    }
+
+    #[test]
+    fn engine_panic_is_contained_by_catch_unwind() {
+        // validate() ignores the execution parameters, so a zero batch size
+        // passes it and panics inside the Monte-Carlo batch loop: the backstop.
+        let mut spec = small_grid().specs().remove(0);
+        spec.name = "orch/zero-batch".into();
+        spec.mc = raa_decode::McConfig {
+            batch: 0,
+            ..Default::default()
+        };
+        for isolate in [true, false] {
+            let result = Orchestrator::new()
+                .with_panic_isolation(isolate)
+                .run_specs(std::slice::from_ref(&spec));
+            let poisoned = match result {
+                Ok(mut report) if isolate => report.poisoned.remove(0),
+                Err(OrchestratorError::Poisoned(p)) if !isolate => p,
+                other => panic!("isolate = {isolate}: expected a poisoned point, got {other:?}"),
+            };
+            assert!(
+                poisoned.message.contains("batch size must be positive"),
+                "isolate = {isolate}: {}",
+                poisoned.message
+            );
         }
     }
 

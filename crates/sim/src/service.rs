@@ -7,8 +7,9 @@
 //! clients share the machine fairly instead of each spawning its own
 //! pool. Every fault class is contained:
 //!
-//! - a **panicking point** is caught per point ([`Orchestrator::run_point`]
-//!   runs the engine under `catch_unwind`), reported in the job's
+//! - an **invalid or panicking point** is poisoned per point
+//!   ([`Orchestrator::run_point`] rejects an invalid spec before the engine
+//!   runs and runs the engine under `catch_unwind`), reported in the job's
 //!   `poisoned` list, and entered into a quarantine keyed by the spec's
 //!   content-addressed cache key — the same pathological point is refused
 //!   on sight in later jobs, and the daemon never dies;
@@ -103,14 +104,15 @@ pub enum PointResult {
         /// Whether a corrupt cache entry was found and overwritten.
         replaced_corrupt: bool,
     },
-    /// The point's engine run panicked (now, or in an earlier job — the
-    /// quarantine refuses known-poisonous points on sight).
+    /// The point's spec was invalid or its engine run panicked (now, or in
+    /// an earlier job — the quarantine refuses known-poisonous points on
+    /// sight).
     Poisoned {
         /// The spec's record name.
         name: String,
         /// The spec's content-addressed cache key.
         key: String,
-        /// The panic message.
+        /// The validation error or panic message.
         message: String,
     },
     /// The point failed with a typed orchestrator error (cache I/O past
@@ -243,7 +245,7 @@ impl Inner {
             PointResult::Poisoned {
                 name,
                 key,
-                message: format!("refused: quarantined after earlier panic: {message}"),
+                message: format!("refused: quarantined after an earlier poisoned run: {message}"),
             }
         } else {
             match self.orch.run_point(task.index, &task.spec, true) {
@@ -634,6 +636,13 @@ impl SweepService {
     }
 
     fn handle_calibrate(&self, id: String, config: CalibrationConfig) -> Response {
+        let (memory_grid, cnot_grid) = (config.memory_grid(), config.cnot_grid());
+        if let Err(e) = memory_grid.validate().and(cnot_grid.validate()) {
+            return Response::Error {
+                id,
+                message: format!("invalid calibration config: {e}"),
+            };
+        }
         // The error side is boxed: a `Response` is wire-sized, not
         // error-sized, and would bloat the happy path's `Result`.
         type GridOutcome = Result<(Vec<ExperimentRecord>, usize, usize, usize), Box<Response>>;
@@ -692,13 +701,11 @@ impl SweepService {
             }
             Ok((records, fresh, cached, shots))
         };
-        let (memory_records, m_fresh, m_cached, m_shots) =
-            match run_grid(config.memory_grid().specs()) {
-                Ok(out) => out,
-                Err(response) => return *response,
-            };
-        let (cnot_records, c_fresh, c_cached, c_shots) = match run_grid(config.cnot_grid().specs())
-        {
+        let (memory_records, m_fresh, m_cached, m_shots) = match run_grid(memory_grid.specs()) {
+            Ok(out) => out,
+            Err(response) => return *response,
+        };
+        let (cnot_records, c_fresh, c_cached, c_shots) = match run_grid(cnot_grid.specs()) {
             Ok(out) => out,
             Err(response) => return *response,
         };

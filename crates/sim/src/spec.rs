@@ -8,10 +8,11 @@
 //! decoders into such specs with per-point derived seeds.
 
 pub use raa_decode::mc::ShotBudget;
-use raa_decode::McConfig;
+use raa_decode::{McConfig, WindowError};
 use raa_factory::FactoryProtocol;
 use raa_gadgets::GadgetKind;
 use raa_surface::{Basis, NoiseModel};
+use std::fmt;
 
 /// Stable label of a logical basis ("Z", "X"), used in records and on the
 /// wire.
@@ -340,7 +341,152 @@ impl ExperimentSpec {
             mc: McConfig::default(),
         }
     }
+
+    /// Checks everything about the spec that can be checked without
+    /// building its circuit; the engine runs this before anything else.
+    /// The execution parameters in `mc` are not checked: they never change
+    /// a record and never cross the wire. Batch windowed decoding with a
+    /// zero buffer (or a window wider than the circuit) stays valid —
+    /// convergence sweeps use both; only streaming needs a sliding window.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SpecError`] found.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        use SpecError::{OutOfRange, TooSmall, Unsupported, Window};
+        let check = |ok: bool, error| if ok { Ok(()) } else { Err(error) };
+        let at_least = |field, got, min| check(got >= min, TooSmall(field, got, min));
+        let d = self.distance;
+        let (distance_ok, expected) = match self.scenario {
+            Scenario::Code832Memory { .. } => (d == 2, "2 for the fixed [[8,3,2]] block"),
+            _ => (d >= 3 && d % 2 == 1, "odd and at least 3"),
+        };
+        check(distance_ok, OutOfRange("distance", d.into(), expected))?;
+        // The round knob with its minimum, and the CNOTs-per-round knob.
+        let (rounds, x) = match self.scenario {
+            Scenario::Memory { rounds }
+            | Scenario::MagicFactory { rounds, .. }
+            | Scenario::Code832Memory { rounds } => (Some((rounds, 1)), None),
+            Scenario::TransversalCnot {
+                patches,
+                depth,
+                cnots_per_round,
+            } => {
+                at_least("patches", patches, 2)?;
+                at_least("depth", depth, 1)?;
+                (None, Some(cnots_per_round))
+            }
+            Scenario::GhzFanout { targets } => {
+                at_least("targets", targets, 2)?;
+                (None, None)
+            }
+            Scenario::DeepCnot {
+                patches,
+                rounds,
+                cnots_per_round,
+            } => {
+                at_least("patches", patches, 2)?;
+                (Some((rounds, 2)), Some(cnots_per_round))
+            }
+            Scenario::Gadget {
+                kind,
+                width,
+                rounds,
+            } => {
+                let min_width = if kind == GadgetKind::Adder { 1 } else { 2 };
+                at_least("width", width, min_width)?;
+                (Some((rounds, 1)), None)
+            }
+        };
+        if let Some(x) = x {
+            let ok = x > 0.0 && x.is_finite();
+            check(ok, OutOfRange("cnots_per_round", x, "positive and finite"))?;
+        }
+        if let Some((rounds, min)) = rounds {
+            let got = match rounds {
+                Rounds::Fixed(n) => n,
+                Rounds::TimesDistance(k) => k.saturating_mul(d as usize),
+            };
+            at_least("SE rounds", got, min)?;
+        }
+        let n = &self.noise;
+        for (field, p) in [
+            ("p2", n.p2),
+            ("p_idle", n.p_idle),
+            ("p_prep", n.p_prep),
+            ("p_meas", n.p_meas),
+        ] {
+            check((0.0..=1.0).contains(&p), OutOfRange(field, p, "in [0, 1]"))?;
+        }
+        let streaming = self.streaming;
+        if let DecoderChoice::Windowed { commit, buffer } = self.decoder {
+            let layered = self.scenario.detectors_per_layer(d).is_some();
+            check(layered, SpecError::UNLAYERED_WINDOW)?;
+            check(commit > 0, Window(streaming, WindowError::ZeroCommit))?;
+            check(
+                buffer > 0 || !streaming,
+                Window(true, WindowError::ZeroBuffer),
+            )?;
+        } else {
+            let message = "streaming decoding requires the windowed decoder";
+            check(!streaming, Unsupported(message))?;
+        }
+        let message = "streaming decoding samples the time-sliced DEM; set the DEM sampler";
+        check(
+            !streaming || self.sampler == SamplerChoice::Dem,
+            Unsupported(message),
+        )
+    }
 }
+
+/// Why an [`ExperimentSpec`] (or a [`SweepGrid`]) cannot run: the error of
+/// [`ExperimentSpec::validate`] and [`SweepGrid::validate`], and of the
+/// engine through [`crate::engine::RunError::Spec`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpecError {
+    /// `(field, value, minimum)`: a scenario size (patches, depth, GHZ
+    /// targets, gadget width) or the SE round count below its minimum.
+    TooSmall(&'static str, usize, usize),
+    /// `(field, value, expected)`: a distance, CNOTs-per-round or noise
+    /// probability outside its accepted range.
+    OutOfRange(&'static str, f64, &'static str),
+    /// A decoder, sampler and scenario combination the engine cannot run.
+    Unsupported(&'static str),
+    /// `(streaming, problem)`: a window the decode path cannot use — zero
+    /// commit, or when streaming, zero look-ahead or a window covering the
+    /// whole circuit (the one check that needs the built circuit).
+    Window(bool, WindowError),
+    /// A sweep-grid axis that is empty or does not fit the scenario.
+    Axis(&'static str),
+}
+
+impl SpecError {
+    /// Windowed decoding on a scenario without uniform time layers.
+    pub const UNLAYERED_WINDOW: SpecError = SpecError::Unsupported(
+        "windowed decoding requires a uniformly layered scenario \
+         (memory, deep-CNOT, factory/gadget skeleton or code832)",
+    );
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::TooSmall(field, value, min) => {
+                write!(f, "{field} must be at least {min}, got {value}")
+            }
+            Self::OutOfRange(field, value, expected) => {
+                write!(f, "{field} must be {expected}, got {value}")
+            }
+            Self::Unsupported(message) | Self::Axis(message) => f.write_str(message),
+            Self::Window(streaming, e) => {
+                let mode = if *streaming { "streaming " } else { "" };
+                write!(f, "{mode}windowed decode rejected: {e}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// A cartesian sweep: distances × physical error rates × (optionally)
 /// CNOTs-per-round × decoders, each point a full [`ExperimentSpec`] with a
@@ -473,6 +619,35 @@ impl SweepGrid {
         self
     }
 
+    /// Checks the grid's axes; each point is checked by
+    /// [`ExperimentSpec::validate`] when it runs.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Axis`] for an empty axis, a CNOTs-per-round axis on a
+    /// non-CNOT scenario, or a [`Scenario::Code832Memory`] distance other
+    /// than 2 (the block is a fixed code).
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let cnot = matches!(
+            self.scenario,
+            Scenario::TransversalCnot { .. } | Scenario::DeepCnot { .. }
+        );
+        let code832 = matches!(self.scenario, Scenario::Code832Memory { .. });
+        Err(SpecError::Axis(if self.distances.is_empty() {
+            "need at least one distance"
+        } else if self.p_phys.is_empty() {
+            "need at least one error rate"
+        } else if self.decoders.is_empty() {
+            "need at least one decoder"
+        } else if code832 && self.distances.iter().any(|&d| d != 2) {
+            "code832_memory is a fixed [[8,3,2]] block: the distance axis must be [2]"
+        } else if !cnot && !self.cnots_per_round.is_empty() {
+            "cnots_per_round axis requires a CNOT scenario (transversal or deep)"
+        } else {
+            return Ok(());
+        }))
+    }
+
     /// Expands the grid into one spec per point, in the deterministic
     /// cartesian order distance (outer) × p × cnots-per-round × decoder
     /// (inner).
@@ -484,27 +659,10 @@ impl SweepGrid {
     ///
     /// # Panics
     ///
-    /// Panics if an axis is empty, if a CNOTs-per-round axis is given for a
-    /// non-CNOT scenario, or if a [`Scenario::Code832Memory`] grid sweeps a
-    /// distance other than 2 (the block is a fixed code).
+    /// Panics if [`SweepGrid::validate`] rejects the grid.
     pub fn specs(&self) -> Vec<ExperimentSpec> {
-        assert!(!self.distances.is_empty(), "need at least one distance");
-        assert!(!self.p_phys.is_empty(), "need at least one error rate");
-        assert!(!self.decoders.is_empty(), "need at least one decoder");
-        if matches!(self.scenario, Scenario::Code832Memory { .. }) {
-            assert!(
-                self.distances.iter().all(|&d| d == 2),
-                "code832_memory is a fixed [[8,3,2]] block: the distance axis must be [2]"
-            );
-        }
-        if !self.cnots_per_round.is_empty() {
-            assert!(
-                matches!(
-                    self.scenario,
-                    Scenario::TransversalCnot { .. } | Scenario::DeepCnot { .. }
-                ),
-                "cnots_per_round axis requires a CNOT scenario (transversal or deep)"
-            );
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
         let xs: Vec<Option<f64>> = if self.cnots_per_round.is_empty() {
             vec![None]
@@ -520,16 +678,17 @@ impl SweepGrid {
                     point_index += 1;
                     for &decoder in &self.decoders {
                         let mut scenario = self.scenario;
-                        if let Some(x) = x {
-                            match &mut scenario {
-                                Scenario::TransversalCnot {
-                                    cnots_per_round, ..
-                                }
-                                | Scenario::DeepCnot {
-                                    cnots_per_round, ..
-                                } => *cnots_per_round = x,
-                                _ => unreachable!("axis validated above"),
+                        if let (
+                            Some(x),
+                            Scenario::TransversalCnot {
+                                cnots_per_round, ..
                             }
+                            | Scenario::DeepCnot {
+                                cnots_per_round, ..
+                            },
+                        ) = (x, &mut scenario)
+                        {
+                            *cnots_per_round = x;
                         }
                         let mut name = format!("{}/d{d}/p{p}", self.name);
                         if let Some(x) = x {

@@ -389,6 +389,40 @@ fn calibrate_job_over_tcp_matches_local_calibration() {
     handle.join().unwrap();
 }
 
+/// A calibration whose grids cannot expand (an empty distance axis) is a
+/// bad request, not a crash: the handler answers an error, and over TCP
+/// the same connection keeps serving.
+#[test]
+fn calibrate_with_empty_distances_is_an_error_not_a_panic() {
+    let (addr, _shutdown, handle, service) = start_daemon(None);
+    let config = raa_sim::CalibrationConfig {
+        distances: Vec::new(),
+        ..raa_sim::CalibrationConfig::default()
+    };
+    match service.handle(Request::Calibrate {
+        id: "cal-empty".into(),
+        config: config.clone(),
+    }) {
+        Response::Error { id, message } => {
+            assert_eq!(id, "cal-empty");
+            assert!(message.contains("distance"), "{message}");
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+
+    let mut client = ServiceClient::connect(addr).unwrap();
+    match client.calibrate(&config).unwrap() {
+        Response::Error { message, .. } => assert!(message.contains("distance"), "{message}"),
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    match client.status().unwrap() {
+        Response::Status { .. } => {}
+        other => panic!("expected a status response, got {other:?}"),
+    }
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 /// The new algorithm scenarios flow through the daemon's job codec and
 /// land in the same content-addressed cache the local orchestrator uses:
 /// sweeping one `MagicFactory` point over the wire must produce a record

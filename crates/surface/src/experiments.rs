@@ -1,26 +1,15 @@
-//! Ready-made experiments: surface-code memory and transversal-CNOT circuits,
-//! with end-to-end Monte-Carlo decoding.
+//! Ready-made experiment circuits: surface-code memory, transversal-CNOT,
+//! scheduled-CNOT and GHZ fan-out workloads.
 //!
-//! These regenerate the simulation inputs behind the paper's logical-error
-//! model (Fig. 6a): deep CNOT-only transversal circuits between surface-code
-//! patches with `x` CNOTs per syndrome-extraction round, decoded jointly
-//! (correlated decoding) from the circuit's detector error model.
+//! These build the simulation inputs behind the paper's logical-error model
+//! (Fig. 6a): deep CNOT-only transversal circuits between surface-code
+//! patches with `x` CNOTs per syndrome-extraction round, with the joint
+//! detectors correlated decoding needs. Sampling and decoding them is the
+//! experiment engine's job (`raa_sim::engine`).
 
 use crate::builder::{Basis, NoiseModel, PatchCircuitBuilder};
-use raa_decode::mc::{self, CircuitSampler, DecodeStats, McConfig};
-use raa_decode::{DecodingGraph, MatchingDecoder, UnionFindDecoder};
-use raa_stabsim::{Circuit, DetectorErrorModel};
+use raa_stabsim::Circuit;
 use rand::{Rng, RngExt};
-
-/// Which decoder to use for an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecoderKind {
-    /// Weighted union–find (fast, slightly less accurate → larger α).
-    #[default]
-    UnionFind,
-    /// Exact small-instance matching (MLE-like reference, slow).
-    Matching,
-}
 
 /// A memory experiment: one patch idling for a number of SE rounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -316,60 +305,6 @@ impl GhzFanoutExperiment {
     }
 }
 
-/// Runs the GHZ fan-out experiment end to end; a failure is any pair parity
-/// the joint decoder fails to predict.
-pub fn run_ghz<R: Rng>(
-    exp: &GhzFanoutExperiment,
-    decoder: DecoderKind,
-    shots: usize,
-    rng: &mut R,
-) -> ExperimentResult {
-    let circuit = exp.build();
-    let stats = decode_circuit(&circuit, decoder, shots, rng);
-    ExperimentResult {
-        distance: exp.distance,
-        cnots: exp.cnots(),
-        se_rounds: exp.se_rounds(),
-        patches: exp.patches(),
-        stats,
-    }
-}
-
-/// Result of a decoded experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExperimentResult {
-    /// Code distance.
-    pub distance: u32,
-    /// Number of transversal CNOTs in the circuit (0 for memory).
-    pub cnots: usize,
-    /// Number of SE rounds executed.
-    pub se_rounds: usize,
-    /// Number of logical qubits (patches).
-    pub patches: usize,
-    /// Decoding statistics.
-    pub stats: DecodeStats,
-}
-
-impl ExperimentResult {
-    /// Total logical error probability per shot.
-    pub fn logical_error_rate(&self) -> f64 {
-        self.stats.logical_error_rate()
-    }
-
-    /// Logical error rate per logical qubit per SE round, assuming
-    /// independent additive errors: `p_shot ≈ 1 - (1-p_unit)^(q·r)`.
-    pub fn error_per_qubit_round(&self) -> f64 {
-        let units = (self.patches * self.se_rounds) as f64;
-        per_unit_rate(self.stats.logical_error_rate(), units)
-    }
-
-    /// Logical error rate per CNOT (both qubits), when `cnots > 0`.
-    pub fn error_per_cnot(&self) -> f64 {
-        assert!(self.cnots > 0, "no CNOTs in this experiment");
-        per_unit_rate(self.stats.logical_error_rate(), self.cnots as f64)
-    }
-}
-
 /// Inverts `p_total = 1 - (1 - p_unit)^units`: the per-unit error rate of
 /// `units` independent additive error opportunities compounding to
 /// `p_total`. Shared by every per-round / per-CNOT rate in the stack.
@@ -383,70 +318,28 @@ pub fn per_unit_rate(p_total: f64, units: f64) -> f64 {
     1.0 - (1.0 - p_total).powf(1.0 / units)
 }
 
-fn decode_circuit<R: Rng>(
-    circuit: &Circuit,
-    decoder: DecoderKind,
-    shots: usize,
-    rng: &mut R,
-) -> DecodeStats {
-    let dem = DetectorErrorModel::from_circuit(circuit);
-    let (graph, _arbitrary) = DecodingGraph::from_dem_decomposed(&dem);
-    let sampler = CircuitSampler::new(circuit);
-    let (seed, cfg) = (rng.random(), McConfig::default());
-    match decoder {
-        DecoderKind::UnionFind => {
-            let d = UnionFindDecoder::new(graph);
-            mc::logical_error_rate_sampled(&sampler, &d, shots, seed, &cfg)
-        }
-        DecoderKind::Matching => {
-            let d = MatchingDecoder::new(graph);
-            mc::logical_error_rate_sampled(&sampler, &d, shots, seed, &cfg)
-        }
-    }
-    .expect("the default McConfig uses the ambient pool and cannot fail")
-}
-
-/// Runs a memory experiment end to end (build → DEM → decode → stats).
-pub fn run_memory<R: Rng>(
-    exp: &MemoryExperiment,
-    decoder: DecoderKind,
-    shots: usize,
-    rng: &mut R,
-) -> ExperimentResult {
-    let circuit = exp.build();
-    let stats = decode_circuit(&circuit, decoder, shots, rng);
-    ExperimentResult {
-        distance: exp.distance,
-        cnots: 0,
-        se_rounds: exp.rounds,
-        patches: 1,
-        stats,
-    }
-}
-
-/// Runs a transversal-CNOT experiment end to end.
-pub fn run_transversal<R: Rng>(
-    exp: &TransversalCnotExperiment,
-    decoder: DecoderKind,
-    shots: usize,
-    rng: &mut R,
-) -> ExperimentResult {
-    let circuit = exp.build(rng);
-    let stats = decode_circuit(&circuit, decoder, shots, rng);
-    ExperimentResult {
-        distance: exp.distance,
-        cnots: exp.depth,
-        se_rounds: exp.expected_se_rounds(),
-        patches: exp.patches,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raa_decode::mc::{self, CircuitSampler, McConfig};
+    use raa_decode::{DecodingGraph, UnionFindDecoder};
+    use raa_stabsim::DetectorErrorModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Samples `circuit` and decodes it jointly with union–find; returns the
+    /// logical error rate per shot. A check that the circuits decode, not an
+    /// engine: sweeps and records go through `raa_sim::engine`.
+    fn decoded_rate<R: Rng>(circuit: &Circuit, shots: usize, rng: &mut R) -> f64 {
+        let dem = DetectorErrorModel::from_circuit(circuit);
+        let (graph, _arbitrary) = DecodingGraph::from_dem_decomposed(&dem);
+        let decoder = UnionFindDecoder::new(graph);
+        let sampler = CircuitSampler::new(circuit);
+        let seed = rng.random();
+        mc::logical_error_rate_sampled(&sampler, &decoder, shots, seed, &McConfig::default())
+            .expect("the default McConfig uses the ambient pool and cannot fail")
+            .logical_error_rate()
+    }
 
     #[test]
     fn memory_error_rate_reasonable_at_moderate_noise() {
@@ -456,14 +349,9 @@ mod tests {
             basis: Basis::Z,
             noise: NoiseModel::uniform(3e-3),
         };
-        let r = run_memory(
-            &exp,
-            DecoderKind::UnionFind,
-            5_000,
-            &mut StdRng::seed_from_u64(1),
-        );
+        let rate = decoded_rate(&exp.build(), 5_000, &mut StdRng::seed_from_u64(1));
         // Well below threshold: logical error rate should be far below 10%.
-        assert!(r.logical_error_rate() < 0.1, "{}", r.logical_error_rate());
+        assert!(rate < 0.1, "{rate}");
     }
 
     #[test]
@@ -477,7 +365,7 @@ mod tests {
                 basis: Basis::Z,
                 noise: NoiseModel::uniform(p),
             };
-            run_memory(&exp, DecoderKind::UnionFind, 20_000, &mut rng).logical_error_rate()
+            decoded_rate(&exp.build(), 20_000, &mut rng)
         };
         let r3 = rate(3);
         let r5 = rate(5);
@@ -497,42 +385,13 @@ mod tests {
             basis: Basis::Z,
             noise: NoiseModel::uniform(2e-3),
         };
-        let r = run_transversal(
-            &exp,
-            DecoderKind::UnionFind,
-            3_000,
-            &mut StdRng::seed_from_u64(3),
-        );
-        assert_eq!(r.cnots, 4);
-        assert!(r.logical_error_rate() < 0.2);
-        assert!(r.error_per_cnot() <= r.logical_error_rate());
-    }
-
-    #[test]
-    fn fewer_se_rounds_per_cnot_is_cheaper_per_gate() {
-        // The paper's core point (§II.4): O(1) SE rounds per transversal gate
-        // suffice, and *extra* rounds per gate add noise volume. At fixed
-        // depth, the x = 4 schedule (few rounds) must not be more error-prone
-        // per gate than the x = 0.5 schedule (two rounds per gate).
-        let p = 4e-3;
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut rate = |x: f64| {
-            let exp = TransversalCnotExperiment {
-                distance: 3,
-                patches: 2,
-                depth: 8,
-                cnots_per_round: x,
-                basis: Basis::Z,
-                noise: NoiseModel::uniform(p),
-            };
-            run_transversal(&exp, DecoderKind::UnionFind, 6_000, &mut rng).logical_error_rate()
-        };
-        let slow = rate(0.5); // 2 SE rounds per CNOT: 17 rounds total
-        let fast = rate(4.0); // 4 CNOTs per SE round: 3 rounds total
-        assert!(
-            fast < slow,
-            "extra SE rounds should cost more per gate: slow {slow}, fast {fast}"
-        );
+        let mut rng = StdRng::seed_from_u64(3);
+        let circuit = exp.build(&mut rng);
+        let rate = decoded_rate(&circuit, 3_000, &mut rng);
+        let per_cnot = per_unit_rate(rate, exp.depth as f64);
+        assert_eq!(exp.depth, 4);
+        assert!(rate < 0.2);
+        assert!(per_cnot <= rate);
     }
 
     #[test]
@@ -600,17 +459,8 @@ mod tests {
             targets: 3,
             noise: NoiseModel::uniform(2e-3),
         };
-        let r = run_ghz(
-            &exp,
-            DecoderKind::UnionFind,
-            4_000,
-            &mut StdRng::seed_from_u64(12),
-        );
-        assert!(
-            r.logical_error_rate() < 0.1,
-            "GHZ logical error = {}",
-            r.logical_error_rate()
-        );
+        let rate = decoded_rate(&exp.build(), 4_000, &mut StdRng::seed_from_u64(12));
+        assert!(rate < 0.1, "GHZ logical error = {rate}");
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn poison_spec(shots: usize) -> raa::sim::ExperimentSpec {
     let mut spec = grid(shots).specs().remove(0);
     spec.name = "load/poison".into();
     spec.scenario = Scenario::Memory {
-        rounds: Rounds::Fixed(0), // trips the "need at least one SE round" assert
+        rounds: Rounds::Fixed(0), // fails ExperimentSpec::validate: no SE round
     };
     spec
 }

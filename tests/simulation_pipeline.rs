@@ -3,17 +3,23 @@
 //! These are the cross-crate checks that the substrate behind Fig. 6(a) is
 //! self-consistent.
 
-use raa::decode::{mc, DecodingGraph, MatchingDecoder, UnionFindDecoder};
+use raa::sim::{run, DecoderChoice, ExperimentSpec, Rounds, Scenario, ShotBudget};
 use raa::stabsim::{DetectorErrorModel, FrameSim, TableauSim};
-use raa::surface::{
-    run_memory, run_transversal, Basis, DecoderKind, MemoryExperiment, NoiseModel,
-    PatchCircuitBuilder, TransversalCnotExperiment,
-};
+use raa::surface::{Basis, MemoryExperiment, NoiseModel, PatchCircuitBuilder};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
+}
+
+/// A union-find spec of `scenario` at uniform noise `p`.
+fn spec(scenario: Scenario, distance: u32, p: f64, shots: usize, seed: u64) -> ExperimentSpec {
+    let mut spec = ExperimentSpec::new("pipeline", scenario, distance);
+    spec.noise = NoiseModel::uniform(p);
+    spec.shots = ShotBudget::Fixed(shots);
+    spec.seed = seed;
+    spec
 }
 
 /// Every detector the builders emit is a deterministic parity check of the
@@ -89,17 +95,10 @@ fn frame_sampler_matches_tableau_statistics() {
 /// error rate of the memory experiment.
 #[test]
 fn memory_error_suppression_with_distance() {
-    let p = 2e-3;
-    let mut r = rng(3);
-    let mut rate = |d: u32| {
-        let exp = MemoryExperiment {
-            distance: d,
-            rounds: d as usize,
-            basis: Basis::Z,
-            noise: NoiseModel::uniform(p),
-        };
-        run_memory(&exp, DecoderKind::UnionFind, 40_000, &mut r).logical_error_rate()
+    let memory = Scenario::Memory {
+        rounds: Rounds::TimesDistance(1),
     };
+    let rate = |d| run(&spec(memory, d, 2e-3, 40_000, 3)).logical_error_rate();
     let r3 = rate(3);
     let r5 = rate(5);
     assert!(
@@ -112,25 +111,19 @@ fn memory_error_suppression_with_distance() {
 /// same syndromes (it is the MLE-like reference of the α calibration).
 #[test]
 fn matching_reference_not_worse_than_unionfind() {
-    let exp = MemoryExperiment {
-        distance: 3,
-        rounds: 3,
-        basis: Basis::Z,
-        noise: NoiseModel::uniform(8e-3),
+    let memory = Scenario::Memory {
+        rounds: Rounds::Fixed(3),
     };
-    let c = exp.build();
-    let dem = DetectorErrorModel::from_circuit(&c);
-    let (graph, _) = DecodingGraph::from_dem_decomposed(&dem);
-    let uf = UnionFindDecoder::new(graph.clone());
-    let mwpm = MatchingDecoder::new(graph);
-    let (sampler, cfg) = (mc::CircuitSampler::new(&c), mc::McConfig::default());
-    let seed = rng(4).random();
-    let r_uf = mc::logical_error_rate_sampled(&sampler, &uf, 20_000, seed, &cfg)
-        .unwrap()
-        .logical_error_rate();
-    let r_m = mc::logical_error_rate_sampled(&sampler, &mwpm, 20_000, seed, &cfg)
-        .unwrap()
-        .logical_error_rate();
+    let rate = |decoder| {
+        let spec = ExperimentSpec {
+            decoder,
+            ..spec(memory, 3, 8e-3, 20_000, 4)
+        };
+        run(&spec).logical_error_rate()
+    };
+    // Same seed, so both decoders see the same syndromes.
+    let r_uf = rate(DecoderChoice::UnionFind);
+    let r_m = rate(DecoderChoice::Matching);
     assert!(
         r_m <= r_uf * 1.2 + 0.005,
         "matching {r_m} vs union-find {r_uf}"
@@ -142,17 +135,14 @@ fn matching_reference_not_worse_than_unionfind() {
 /// finite and grows with the physical rate.
 #[test]
 fn transversal_cnot_pipeline() {
-    let mut r = rng(5);
-    let mut per_cnot = |p: f64| {
-        let exp = TransversalCnotExperiment {
-            distance: 3,
-            patches: 2,
-            depth: 8,
-            cnots_per_round: 1.0,
-            basis: Basis::Z,
-            noise: NoiseModel::uniform(p),
-        };
-        run_transversal(&exp, DecoderKind::UnionFind, 20_000, &mut r).error_per_cnot()
+    let cnot = Scenario::TransversalCnot {
+        patches: 2,
+        depth: 8,
+        cnots_per_round: 1.0,
+    };
+    let per_cnot = |p| {
+        let record = run(&spec(cnot, 3, p, 20_000, 5));
+        record.error_per_cnot().expect("a CNOT circuit")
     };
     let low = per_cnot(1e-3);
     let high = per_cnot(6e-3);
